@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
-
-#include "linalg/arena.hpp"
 
 namespace rascad::linalg {
 
@@ -53,18 +50,15 @@ CsrMatrix CsrBuilder::build() const {
   m.col_idx_.reserve(n);
   m.values_.reserve(n);
 
-  // Stable counting sort by row on arena scratch: one count pass, one
-  // prefix pass, one scatter pass. Within a row the scatter preserves
-  // insertion order, so after the (stable) per-row column sort, duplicate
-  // entries are summed in insertion order — deterministic regardless of
-  // how many entries the builder saw.
-  Arena& arena = thread_arena();
-  arena.reset();
-  std::uint32_t* start = arena.allocate<std::uint32_t>(rows_ + 1);
-  std::uint32_t* scratch_cols = arena.allocate<std::uint32_t>(n);
-  double* scratch_vals = arena.allocate<double>(n);
+  // Stable counting sort by row: one count pass, one prefix pass, one
+  // scatter pass. Within a row the scatter preserves insertion order, so
+  // after the (stable) per-row column sort, duplicate entries are summed in
+  // insertion order — deterministic regardless of how many entries the
+  // builder saw.
+  std::vector<std::uint32_t> start(rows_ + 1, 0);
+  std::vector<std::uint32_t> scratch_cols(n);
+  std::vector<double> scratch_vals(n);
 
-  std::memset(start, 0, (rows_ + 1) * sizeof(std::uint32_t));
   for (std::size_t t = 0; t < n; ++t) ++start[t_rows_[t] + 1];
   for (std::size_t r = 0; r < rows_; ++r) start[r + 1] += start[r];
   for (std::size_t t = 0; t < n; ++t) {
@@ -112,7 +106,6 @@ CsrMatrix CsrBuilder::build() const {
     begin = end;
   }
   m.row_ptr_[rows_] = static_cast<std::uint32_t>(m.values_.size());
-  arena.reset();
   return m;
 }
 
@@ -200,11 +193,6 @@ Vector CsrMatrix::row_sums() const {
     }
   }
   return s;
-}
-
-bool CsrMatrix::same_pattern(const CsrMatrix& other) const noexcept {
-  return rows_ == other.rows_ && cols_ == other.cols_ &&
-         row_ptr_ == other.row_ptr_ && col_idx_ == other.col_idx_;
 }
 
 std::ostream& operator<<(std::ostream& os, const CsrMatrix& m) {

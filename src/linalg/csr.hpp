@@ -2,32 +2,28 @@
 // numerical core.
 //
 // Generated Markov chains are sparse (a handful of outgoing arcs per
-// state), so the iterative steady-state solvers, the uniformization
-// transient solver, and the batched multi-RHS kernels all operate on CSR.
-// Storage is structure-of-arrays: three flat, 64-byte-aligned arrays
-// (row pointers, column indices, values) with 32-bit indices, which halves
-// index bandwidth and lets the SIMD kernels gather columns with one vector
-// load. Matrices are assembled through CsrBuilder, which stages triplets
-// and builds via an arena-backed counting sort (see docs/numerics.md);
-// duplicates are summed in insertion order.
+// state), so the iterative steady-state solvers and the uniformization
+// transient solver operate on CSR. Storage is structure-of-arrays: three
+// flat arrays (row pointers, column indices, values) with 32-bit indices.
+// Matrices are assembled through CsrBuilder, which stages triplets and
+// builds via a stable counting sort (see docs/numerics.md); duplicates are
+// summed in insertion order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <vector>
 
-#include "linalg/aligned.hpp"
 #include "linalg/dense.hpp"
 
 namespace rascad::linalg {
 
-class Arena;
 class CsrMatrix;
 
 /// Accumulates (row, col, value) triplets; duplicates are summed.
 /// Staging is structure-of-arrays; build() runs a stable two-pass counting
-/// sort whose scratch comes from the per-thread assembly arena, so chain
-/// generation emits CSR directly with no allocation churn.
+/// sort, so chain generation emits CSR directly.
 class CsrBuilder {
  public:
   CsrBuilder(std::size_t rows, std::size_t cols);
@@ -61,8 +57,8 @@ class CsrMatrix {
   std::size_t nnz() const noexcept { return values_.size(); }
 
   /// y = A * x. Throws std::invalid_argument on shape mismatch.
-  /// Scalar row-major accumulation — the bitwise-stable reference path;
-  /// the runtime-dispatched SIMD variant lives in linalg/simd.hpp.
+  /// Each row accumulates left to right in column order, so the result is
+  /// bitwise identical on every host.
   Vector mul(const Vector& x) const;
 
   /// y = A^T * x. Throws std::invalid_argument on shape mismatch.
@@ -95,28 +91,13 @@ class CsrMatrix {
   /// Sum of each row's entries (for generator-matrix conservation checks).
   Vector row_sums() const;
 
-  /// Raw SoA views for the SIMD / batched kernels. row_ptr has rows()+1
-  /// entries; col_idx and values have nnz() entries, 64-byte aligned.
-  const std::uint32_t* row_ptr_data() const noexcept {
-    return row_ptr_.data();
-  }
-  const std::uint32_t* col_idx_data() const noexcept {
-    return col_idx_.data();
-  }
-  const double* values_data() const noexcept { return values_.data(); }
-
-  /// True iff `other` has identical shape and sparsity pattern (row
-  /// pointers and column indices) — the precondition for batching several
-  /// matrices through one traversal.
-  bool same_pattern(const CsrMatrix& other) const noexcept;
-
  private:
   friend class CsrBuilder;
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  AlignedVector<std::uint32_t> row_ptr_;  // rows_ + 1 entries
-  AlignedVector<std::uint32_t> col_idx_;  // nnz entries
-  AlignedVector<double> values_;          // nnz entries
+  std::vector<std::uint32_t> row_ptr_;  // rows_ + 1 entries
+  std::vector<std::uint32_t> col_idx_;  // nnz entries
+  std::vector<double> values_;          // nnz entries
 };
 
 std::ostream& operator<<(std::ostream& os, const CsrMatrix& m);

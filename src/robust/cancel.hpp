@@ -89,11 +89,15 @@ struct CancelState {
 
   /// Latches `r` as the stop reason; only the first trigger records
   /// stop_ns, so latency is measured from the earliest stop event.
+  /// The time is read before the latch: another thread may see the reason
+  /// and stamp observed_ns before stop_ns is stored, and the latency must
+  /// still come out non-negative.
   void trigger(StopReason r) noexcept {
+    const std::int64_t t = now_ns();
     std::uint8_t expected = 0;
     if (reason.compare_exchange_strong(expected, static_cast<std::uint8_t>(r),
                                        std::memory_order_acq_rel)) {
-      stop_ns.store(now_ns(), std::memory_order_release);
+      stop_ns.store(t, std::memory_order_release);
     }
   }
 
@@ -242,8 +246,8 @@ inline void throw_if_stopped(const CancelToken& token, const char* who,
       residual);
 }
 
-/// Outcome of one unit of degradable work (a sweep point, a batch-rebuild
-/// point, a replication run). kOk entries carry results; the rest carry a
+/// Outcome of one unit of degradable work (a sweep point, an importance
+/// row, a replication run). kOk entries carry results; the rest carry a
 /// reason and, for kFailed, the failure detail/trace.
 enum class PointStatus : std::uint8_t {
   kOk = 0,
@@ -296,8 +300,8 @@ inline PointStatus point_status_from(resilience::SolveCause cause) {
 /// Folds a caught exception into a degradation (status, detail) pair:
 /// SolveError keeps its cancellation taxonomy, anything else is kFailed
 /// with the error text as provenance. The shared classifier behind every
-/// graceful-degradation surface (batched rebuilds, sweeps, importance,
-/// simulator replications).
+/// graceful-degradation surface (sweeps, importance, simulator
+/// replications).
 inline std::pair<PointStatus, std::string> point_status_from_exception(
     std::exception_ptr err) {
   try {

@@ -650,6 +650,11 @@ Frame Service::do_sweep(const std::shared_ptr<Session>& session,
   const std::size_t n =
       static_cast<std::size_t>(parse_u64_field(head[5], "sweep points"));
   if (n < 2) throw std::invalid_argument("serve: sweep needs >= 2 points");
+  if (n > kMaxSweepPoints) {
+    throw std::invalid_argument("serve: sweep points " + std::to_string(n) +
+                                " exceed the limit of " +
+                                std::to_string(kMaxSweepPoints));
+  }
 
   const core::BlockMutator mutate = mutator_for(param);
   spec::ModelSpec model = spec::parse_model(text);
@@ -661,6 +666,7 @@ Frame Service::do_sweep(const std::shared_ptr<Session>& session,
   // deadline mid-sweep yields the completed prefix, and the un-run points
   // come back with their PointStatus instead of an exception.
   opts.parallel.cancel = token;
+  // linspace rejects NaN and infinite bounds, which from_chars accepts.
   const std::vector<core::SweepPoint> points = core::sweep_block_parameter(
       model, diagram, block, mutate, core::linspace(lo, hi, n), opts);
 

@@ -31,6 +31,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -43,6 +44,11 @@
 #include "serve/protocol.hpp"
 
 namespace rascad::serve {
+
+/// Largest `points` a sweep request may ask for. The point count comes off
+/// the wire and sizes the value grid, the result rows and the CSV before
+/// any deadline is checked, so larger requests are rejected up front.
+inline constexpr std::size_t kMaxSweepPoints = 4096;
 
 struct ServiceConfig {
   /// Filesystem path of the Unix-domain listening socket. Bound (and any

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <stdexcept>
+#include <thread>
 
 #include "linalg/csr.hpp"
 #include "linalg/dense.hpp"
@@ -108,6 +112,14 @@ TEST(CsrMatrix, BuildMergesDuplicates) {
   EXPECT_DOUBLE_EQ(m.at(0, 1), 3.0);
   EXPECT_DOUBLE_EQ(m.at(1, 0), 4.0);
   EXPECT_DOUBLE_EQ(m.at(0, 0), 0.0);
+  // Duplicates sum in insertion order: (0.1 + 0.2) + 0.3 and
+  // 0.1 + (0.2 + 0.3) differ in the last bit.
+  CsrBuilder ordered(1, 2);
+  ordered.add(0, 1, 0.1);
+  ordered.add(0, 0, 1.0);
+  ordered.add(0, 1, 0.2);
+  ordered.add(0, 1, 0.3);
+  EXPECT_EQ(ordered.build().at(0, 1), (0.1 + 0.2) + 0.3);
 }
 
 TEST(CsrMatrix, DropsExplicitZeros) {
@@ -154,6 +166,101 @@ TEST(CsrMatrix, OutOfRangeAdd) {
   CsrBuilder b(2, 2);
   EXPECT_THROW(b.add(2, 0, 1.0), std::out_of_range);
   EXPECT_THROW(b.add(0, 2, 1.0), std::out_of_range);
+}
+
+/// Dense oracle: y = A x computed row-by-row off to_dense().
+Vector dense_mul(const CsrMatrix& a, const Vector& x) {
+  const auto d = a.to_dense();
+  Vector y(a.rows(), 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) y[r] += d(r, c) * x[c];
+  }
+  return y;
+}
+
+CsrMatrix random_csr(std::size_t n, double density, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> value(-2.0, 2.0);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  CsrBuilder b(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (r % 11 == 5) continue;  // leave some rows empty
+    for (std::size_t c = 0; c < n; ++c) {
+      if (r % 7 == 3 && c == r) continue;  // some diagonal-free rows
+      if (coin(rng) < density) b.add(r, c, value(rng));
+    }
+  }
+  return b.build();
+}
+
+TEST(CsrMatrix, MulMatchesDenseOracleOnRandomMatrices) {
+  for (std::uint32_t seed : {1u, 2u, 3u}) {
+    const CsrMatrix a = random_csr(37, 0.15, seed);
+    std::mt19937 rng(seed + 100);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    Vector x(a.cols());
+    for (double& v : x) v = dist(rng);
+    const Vector oracle = dense_mul(a, x);
+    const Vector y = a.mul(x);
+    ASSERT_EQ(y.size(), oracle.size());
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      EXPECT_NEAR(y[i], oracle[i], 1e-12) << "seed=" << seed << " row=" << i;
+    }
+  }
+}
+
+TEST(CsrMatrix, MulEmptyRowsOneByOneAndDiagonalFreeRows) {
+  // 1x1 with a single entry.
+  CsrBuilder one(1, 1);
+  one.add(0, 0, 2.5);
+  EXPECT_EQ(one.build().mul(Vector{2.0})[0], 5.0);
+  // 1x1 empty.
+  EXPECT_EQ(CsrBuilder(1, 1).build().mul(Vector{3.0})[0], 0.0);
+  // Empty rows and diagonal-free rows against the dense oracle.
+  CsrBuilder b(4, 4);
+  b.add(0, 1, 1.0);  // row 0: diagonal-free
+  b.add(0, 3, -2.0);
+  b.add(2, 2, 4.0);  // rows 1 and 3: empty
+  const CsrMatrix a = b.build();
+  const Vector x = {1.0, 2.0, 3.0, 4.0};
+  const Vector oracle = dense_mul(a, x);
+  const Vector y = a.mul(x);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(y[i], oracle[i]);
+  EXPECT_THROW(a.mul(Vector(3, 1.0)), std::invalid_argument);
+  EXPECT_THROW(a.mul_transpose(Vector(5, 1.0)), std::invalid_argument);
+}
+
+/// Exact comparison of two CSR matrices: shape, pattern and value bits.
+void expect_identical(const CsrMatrix& a, const CsrMatrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  ASSERT_EQ(a.nnz(), b.nnz());
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const auto ra = a.row(r);
+    const auto rb = b.row(r);
+    ASSERT_EQ(ra.size, rb.size) << "row " << r;
+    for (std::size_t k = 0; k < ra.size; ++k) {
+      EXPECT_EQ(ra.cols[k], rb.cols[k]) << "row " << r;
+      EXPECT_EQ(ra.values[k], rb.values[k]) << "row " << r;
+    }
+  }
+}
+
+TEST(CsrBuilder, RepeatedBuildsAreIdentical) {
+  // One unsorted triplet set with duplicates. Rebuilding it, on this thread
+  // after other builds of different sizes and on another thread, yields
+  // the same CSR bit for bit.
+  CsrBuilder b(30, 30);
+  std::mt19937 rng(9);
+  std::uniform_int_distribution<std::size_t> idx(0, 29);
+  std::uniform_real_distribution<double> value(-1.0, 1.0);
+  for (int t = 0; t < 400; ++t) b.add(idx(rng), idx(rng), value(rng));
+  const CsrMatrix first = b.build();
+  for (std::size_t n : {3u, 100u, 1u}) (void)random_csr(n, 0.5, 4);
+  expect_identical(first, b.build());
+  CsrMatrix other;
+  std::thread([&] { other = b.build(); }).join();
+  expect_identical(first, other);
 }
 
 TEST(Lu, SolvesKnownSystem) {

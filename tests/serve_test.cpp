@@ -8,8 +8,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -259,7 +261,12 @@ TEST(ServeEndToEnd, AdmissionRejectsWithRetryAfterWhenFull) {
   });
 
   // ...then probe until the slot is observably taken and the admission
-  // gate answers with the configured retry hint.
+  // gate answers with the configured retry hint. Probing starts only once
+  // the occupant holds the slot: on a loaded host a probe could otherwise
+  // win the slot first and get the occupant rejected instead.
+  for (int i = 0; i < 2000 && server.service.stats().inflight == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   Client prober;
   prober.connect_retry(path, 2000.0);
   Reply rejected;
@@ -445,6 +452,39 @@ TEST(ServeEndToEnd, MalformedModelAnswersErrorNotDisconnect) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_GE(failed, 1u);
+}
+
+TEST(ServeEndToEnd, OverCapSweepPointsAnswerErrorNotDisconnect) {
+  ServerFixture server(base_config("bigsweep"));
+  Client client;
+  client.connect_retry(server.service.config().socket_path, 2000.0);
+  const Reply bad = client.sweep(
+      datacenter_text(), "Server Box", "Centerplane", "service_response_h",
+      0.5, 24.0, rascad::serve::kMaxSweepPoints + 1);
+  EXPECT_EQ(bad.type, FrameType::kError);
+  EXPECT_EQ(bad.status, PointStatus::kFailed);
+  EXPECT_NE(bad.text.find("exceed"), std::string::npos) << bad.text;
+  EXPECT_TRUE(bad.stream.empty());
+  EXPECT_TRUE(client.ping().ok());
+}
+
+TEST(ServeEndToEnd, NonFiniteSweepBoundsAnswerErrorNotDisconnect) {
+  ServerFixture server(base_config("nanbounds"));
+  Client client;
+  client.connect_retry(server.service.config().socket_path, 2000.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [lo, hi] : {std::pair{0.5, inf}, std::pair{-inf, 24.0},
+                               std::pair{nan, 24.0}, std::pair{0.5, nan}}) {
+    const Reply bad = client.sweep(datacenter_text(), "Server Box",
+                                   "Centerplane", "service_response_h", lo,
+                                   hi, 4);
+    EXPECT_EQ(bad.type, FrameType::kError) << lo << " " << hi;
+    EXPECT_EQ(bad.status, PointStatus::kFailed);
+    EXPECT_NE(bad.text.find("finite"), std::string::npos) << bad.text;
+    EXPECT_TRUE(bad.stream.empty());
+  }
+  EXPECT_TRUE(client.ping().ok());
 }
 
 TEST(ServeEndToEnd, ConcurrentClientsAllServed) {

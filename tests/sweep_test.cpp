@@ -2,6 +2,7 @@
 // parameter sweeps, and the serial-vs-parallel determinism contract.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -36,9 +37,16 @@ TEST(Linspace, DescendingRangeIsSupported) {
   for (std::size_t i = 1; i < v.size(); ++i) EXPECT_LT(v[i], v[i - 1]);
 }
 
-TEST(Linspace, FewerThanTwoPointsThrows) {
+TEST(Linspace, BadArgumentsThrow) {
   EXPECT_THROW(linspace(0.0, 1.0, 0), std::invalid_argument);
   EXPECT_THROW(linspace(0.0, 1.0, 1), std::invalid_argument);
+  // Non-finite bounds used to yield NaN points (lo + inf * 0).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(linspace(1e4, inf, 3), std::invalid_argument);
+  EXPECT_THROW(linspace(-inf, 1.0, 3), std::invalid_argument);
+  EXPECT_THROW(linspace(nan, 1.0, 3), std::invalid_argument);
+  EXPECT_THROW(linspace(0.0, nan, 3), std::invalid_argument);
 }
 
 TEST(Logspace, TwoPointsAreExactlyTheBounds) {
@@ -56,11 +64,16 @@ TEST(Logspace, DescendingRangeIsSupported) {
   for (std::size_t i = 1; i < v.size(); ++i) EXPECT_LT(v[i], v[i - 1]);
 }
 
-TEST(Logspace, NonPositiveBoundsThrow) {
+TEST(Logspace, NonPositiveOrNonFiniteBoundsThrow) {
   EXPECT_THROW(logspace(0.0, 10.0, 4), std::invalid_argument);
   EXPECT_THROW(logspace(-1.0, 10.0, 4), std::invalid_argument);
   EXPECT_THROW(logspace(1.0, 0.0, 4), std::invalid_argument);
   EXPECT_THROW(logspace(1.0, -5.0, 4), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(logspace(1.0, inf, 4), std::invalid_argument);
+  EXPECT_THROW(logspace(inf, 10.0, 4), std::invalid_argument);
+  EXPECT_THROW(logspace(std::numeric_limits<double>::quiet_NaN(), 10.0, 4),
+               std::invalid_argument);
 }
 
 TEST(Logspace, FewerThanTwoPointsThrows) {
