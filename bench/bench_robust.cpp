@@ -15,12 +15,12 @@
 //      because a checkpoint may only ever throw, never perturb arithmetic.
 //
 //   2. Graceful degradation under a deadline (gate). A 64-point
-//      single-threaded sweep runs with an injected kTimeout fault on the
-//      ladder's first rung (each fresh solve burns its per-rung budget,
-//      escalates, then succeeds) under a request deadline sized so only a
-//      prefix of the points can finish. The gate: at least one point
-//      completes, at least one does not, the completed points form a
-//      prefix, and every unfinished point reports kDeadlineExceeded.
+//      single-threaded sweep whose every fresh point costs real solver
+//      work (a 127-state block solved by power iteration alone) runs
+//      under a request deadline sized so only a prefix of the points can
+//      finish. The gate: at least one point completes, at least one does
+//      not, the completed points form a prefix, and every unfinished point
+//      reports kDeadlineExceeded.
 //
 //   3. Cancellation latency (report only): ~20 episodes of a long power
 //      solve cancelled from another thread; p99 of the checkpoint-observed
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
     const double ms = ms_since(t0);
     if (run == 0 || ms < baseline_ms) baseline_ms = ms;
   }
-  solve_cfg.cancel = far_deadline;
+  solve_cfg.base.cancel = far_deadline;
   const auto t1 = Clock::now();
   const rascad::resilience::ResilientResult token_solve =
       rascad::resilience::solve_steady_state_resilient(stiff, solve_cfg);
@@ -168,8 +168,9 @@ int main(int argc, char** argv) {
       static_cast<double>(kProbes);
 
   // Generous poll overcount: one poll per 64 solver iterations (the
-  // checkpoint cadence, rounded up) plus 16 for episode/attempt/watchdog
-  // checks around the solve (the actual count is ~4).
+  // checkpoint cadence) plus 17 for the first-iteration checkpoint and the
+  // ladder's stop check before its only rung (the actual count of those
+  // is 2).
   const std::uint64_t polls = base_solve.result.iterations / 64 + 17;
   const double overhead_ms = static_cast<double>(polls) * per_poll_ns * 1e-6;
   const double overhead_pct =
@@ -191,22 +192,29 @@ int main(int argc, char** argv) {
   // --- 2. deadline-bounded sweep returns a completed prefix -------------
   constexpr std::size_t kDeadlinePoints = 64;
   rascad::cache::SolveCache deadline_cache;
-  rascad::resilience::ResilienceConfig faulted;
-  // Every fresh solve's first rung burns its 2 ms budget on an injected
-  // timeout, escalates, and succeeds on the next rung — charging real
-  // wall-clock against the request deadline.
-  faulted.fault_plan.fail(rascad::resilience::Rung::kDirect,
-                          rascad::resilience::FaultKind::kTimeout);
-  faulted.rung_deadline_ms = 2.0;
+  // Every fresh point costs real solver work: the swept Boot Disk becomes
+  // a 32-unit redundant block (127 states) solved by power iteration
+  // alone, a few thousand iterations the request deadline interrupts at
+  // the solver's checkpoints. The baseline MTBF is the first sweep value,
+  // so point 0 reuses the pre-warmed solve.
+  rascad::spec::ModelSpec deep_spec = spec;
+  rascad::spec::BlockSpec& disk =
+      *deep_spec.find_block("Entry Server", "Boot Disk");
+  disk.quantity = 32;
+  disk.ar_time_min = 6.0;
+  disk.reintegration_min = 8.0;
+  disk.mtbf_h = 1e5;
+  rascad::resilience::ResilienceConfig power_only;
+  power_only.rungs = {rascad::resilience::Rung::kPower};
 
   rascad::mg::SystemModel::Options warm_opts;
-  warm_opts.resilience = faulted;
+  warm_opts.resilience = power_only;
   warm_opts.cache = &deadline_cache;
   warm_opts.parallel.threads = 1;
   // Warm the memo cache so the sweep's baseline build is cheap and every
-  // point costs about one injected-timeout solve: the prefix length then
+  // point costs about one fresh power solve: the prefix length then
   // tracks the deadline instead of the first point swallowing it whole.
-  (void)rascad::mg::SystemModel::build(spec, warm_opts);
+  (void)rascad::mg::SystemModel::build(deep_spec, warm_opts);
 
   rascad::core::SweepOptions dopts;
   dopts.parallel.threads = 1;
@@ -215,7 +223,7 @@ int main(int argc, char** argv) {
   const auto d0 = Clock::now();
   const std::vector<rascad::core::SweepPoint> degraded =
       rascad::core::sweep_block_parameter(
-          spec, "Entry Server", "Boot Disk",
+          deep_spec, "Entry Server", "Boot Disk",
           [](rascad::spec::BlockSpec& b, double v) { b.mtbf_h = v; },
           rascad::core::linspace(1e5, 4e5, kDeadlinePoints), dopts);
   const double degraded_ms = ms_since(d0);
@@ -256,7 +264,7 @@ int main(int argc, char** argv) {
     config.rungs = {rascad::resilience::Rung::kPower};
     config.base.tolerance = 1e-16;
     config.base.max_iterations = 500'000'000;
-    config.cancel = token;
+    config.base.cancel = token;
     std::thread canceller([&token] {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       token.request_cancel();

@@ -114,14 +114,12 @@ std::vector<ParameterSensitivity> parameter_sensitivity(
   // probe is solved by the identical resilience ladder, so elasticities
   // are bit-identical with and without the cache.
   const mg::SystemModel::Options& mopts = system.options();
-  resilience::ResilienceConfig probe_config =
-      mopts.resilience ? *mopts.resilience
-                       : resilience::config_from(mopts.steady);
   // The loop token fans into the probe solves too, so a cancelled
   // sensitivity run stops inside the ladder instead of finishing a doomed
   // probe. Tokens are not part of the solver signature, so memo keys (and
   // the numbers) are unchanged.
-  if (!probe_config.cancel.valid()) probe_config.cancel = par.cancel;
+  const resilience::ResilienceConfig probe_config =
+      resilience::resolve_config(mopts.resilience, mopts.steady, par.cancel);
   const cache::Signature probe_solver_sig = mg::solver_signature(probe_config);
   const auto block_availability = [&](const std::string& diagram,
                                       const spec::BlockSpec& block) {

@@ -118,18 +118,6 @@ rbd::RbdNodePtr compose_tree(const spec::ModelSpec& spec,
   return builder.build(spec.root());
 }
 
-resilience::ResilienceConfig resolve_config(const SystemModel::Options& opts) {
-  resilience::ResilienceConfig config =
-      opts.resilience ? *opts.resilience
-                      : resilience::config_from(opts.steady);
-  // The loop-level stop token also fans into every ladder episode, so one
-  // request token cancels both the parallel_for scheduling and the solver
-  // iterations it already started. An explicit config token wins.
-  if (!config.cancel.valid()) config.cancel = opts.parallel.cancel;
-  return config;
-}
-
-
 // Curve-kind discriminants for the sampled-curve memo key. A curve is a
 // pure function of the generated chain, so the chain signature (without
 // the solver words) plus these fully determines the sampled values.
@@ -184,23 +172,16 @@ cache::Signature solver_signature(const resilience::ResilienceConfig& config) {
   s.append_word(config.base.max_iterations);
   s.append_double(config.base.relaxation);
   s.append_word(config.max_states);
-  s.append_double(config.deadline_ms);
-  // Per-rung budgets and transient retries change which rung can succeed,
-  // so they are part of the configuration a cached solve vouches for. The
-  // cancel token, backoff timing, and jitter seed are deliberately NOT
-  // keyed: they never change the accepted numbers, only when (or whether)
-  // the episode is allowed to finish.
-  s.append_double(config.rung_deadline_ms);
-  s.append_word(config.transient_retries);
+  // The stop token is deliberately NOT keyed: it never changes the
+  // accepted numbers, only whether the episode is allowed to finish.
   s.append_double(config.health.clamp_tolerance);
   s.append_double(config.health.residual_factor);
   s.append_double(config.health.max_condition);
   // Injected faults change results by design; keying on the plan keeps
   // fault-injection runs from contaminating (or consuming) healthy entries.
-  for (const auto& [rung, entry] : config.fault_plan.faults) {
+  for (const auto& [rung, kind] : config.fault_plan.faults) {
     s.append_word(static_cast<std::uint64_t>(rung));
-    s.append_word(static_cast<std::uint64_t>(entry.kind));
-    s.append_word(static_cast<std::uint64_t>(entry.initial));
+    s.append_word(static_cast<std::uint64_t>(kind));
   }
   return s;
 }
@@ -284,7 +265,8 @@ SystemModel SystemModel::build(spec::ModelSpec model, const Options& opts) {
   sm.spec_ = std::move(model);
   sm.opts_ = opts;
 
-  const resilience::ResilienceConfig solve_config = resolve_config(opts);
+  const resilience::ResilienceConfig solve_config = resilience::resolve_config(
+      opts.resilience, opts.steady, opts.parallel.cancel);
   sm.solver_sig_ = solver_signature(solve_config);
 
   // Generate and solve every block chain in parallel. Entries are written
@@ -316,7 +298,8 @@ SystemModel SystemModel::rebuild(const SystemModel& base,
                                  const Options& opts) {
   obs::Span rebuild_span("system.rebuild");
   spec::validate_or_throw(changed);
-  const resilience::ResilienceConfig solve_config = resolve_config(opts);
+  const resilience::ResilienceConfig solve_config = resilience::resolve_config(
+      opts.resilience, opts.steady, opts.parallel.cancel);
   cache::Signature solver_sig = solver_signature(solve_config);
 
   SystemModel sm;

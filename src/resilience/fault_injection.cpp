@@ -1,9 +1,7 @@
 #include "resilience/fault_injection.hpp"
 
-#include <chrono>
 #include <limits>
 #include <string>
-#include <thread>
 
 namespace rascad::resilience {
 
@@ -19,33 +17,13 @@ void corrupt_result(linalg::Vector& pi, FaultKind kind) {
     case FaultKind::kNone:
     case FaultKind::kThrowSingular:
     case FaultKind::kThrowNonConverged:
-    case FaultKind::kThrowTransient:
-    case FaultKind::kTimeout:
-    case FaultKind::kStall:
       break;
   }
 }
 
-namespace {
-
-/// kTimeout: burn wall-clock until the attempt's token stops, so the
-/// injected slowness is proportional to the configured budget. Polling in
-/// 0.2 ms naps keeps cancellation latency small while the cap bounds
-/// plans that carry no deadline at all.
-void burn_until_stopped(const robust::CancelToken& token, double cap_ms) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto cap = std::chrono::duration<double, std::milli>(cap_ms);
-  while (!token.stop_requested() &&
-         std::chrono::steady_clock::now() - start < cap) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-}
-
-}  // namespace
-
-void apply_fault(const FaultPlan& plan, Rung rung, linalg::Vector& pi,
-                 const robust::CancelToken& token) {
-  switch (plan.take_fault(rung)) {
+void apply_fault(const FaultPlan& plan, Rung rung, linalg::Vector& pi) {
+  const FaultKind kind = plan.fault_for(rung);
+  switch (kind) {
     case FaultKind::kNone:
       return;
     case FaultKind::kThrowSingular:
@@ -54,25 +32,9 @@ void apply_fault(const FaultPlan& plan, Rung rung, linalg::Vector& pi,
     case FaultKind::kThrowNonConverged:
       throw SolveError(SolveCause::kNonConverged, to_string(rung),
                        "injected convergence failure");
-    case FaultKind::kThrowTransient:
-      throw SolveError(SolveCause::kTransient, to_string(rung),
-                       "injected transient failure");
     case FaultKind::kNanResult:
-      corrupt_result(pi, FaultKind::kNanResult);
-      return;
     case FaultKind::kNegativeResult:
-      corrupt_result(pi, FaultKind::kNegativeResult);
-      return;
-    case FaultKind::kTimeout:
-      burn_until_stopped(token, plan.timeout_cap_ms);
-      throw SolveError(SolveCause::kDeadlineExceeded, to_string(rung),
-                       "injected timeout");
-    case FaultKind::kStall:
-      // Deliberately ignores the token: models a solve stuck inside a
-      // kernel with no checkpoint. The result stays intact, so once the
-      // stall ends the rung still succeeds — only the watchdog notices.
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(plan.stall_ms));
+      corrupt_result(pi, kind);
       return;
   }
 }

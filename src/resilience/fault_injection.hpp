@@ -16,14 +16,11 @@
 //    iterations) rather than simulated failures.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <map>
-#include <memory>
 
 #include "markov/ctmc.hpp"
 #include "resilience/solve_error.hpp"
-#include "robust/cancel.hpp"
 
 namespace rascad::resilience {
 
@@ -34,95 +31,35 @@ enum class FaultKind {
   kThrowNonConverged,  // throw SolveError(kNonConverged)
   kNanResult,          // overwrite one entry of the result with NaN
   kNegativeResult,     // subtract a large negative mass from one entry
-  kThrowTransient,     // throw SolveError(kTransient): the ladder retries
-                       // the same rung (with backoff) instead of escalating
-  kTimeout,            // burn wall-clock until the attempt's token stops
-                       // (capped by timeout_cap_ms), then throw
-                       // kDeadlineExceeded — simulates a solve that blows
-                       // its rung budget
-  kStall,              // sleep stall_ms while *ignoring* the token, then
-                       // return the result intact — a solve that never
-                       // reaches a checkpoint; watchdog fodder
 };
 
-/// Per-rung fault schedule. Empty (the default) injects nothing and costs
-/// one map lookup per rung on the solve path. Each entry optionally
-/// carries a consumable budget: fail_times(rung, kind, n) injects at most
-/// n times, after which the rung behaves healthily — that is what lets a
-/// transient-retry loop eventually succeed. The budget is shared state, so
-/// copies of a plan (per-lane configs, per-thread configs) draw from one
-/// count.
+/// Per-rung fault schedule: the fault fires on every attempt of its rung.
+/// Empty (the default) injects nothing and costs one map lookup per rung
+/// on the solve path.
 struct FaultPlan {
-  struct Entry {
-    FaultKind kind = FaultKind::kNone;
-    /// Remaining injections; null = unlimited.
-    std::shared_ptr<std::atomic<long long>> budget;
-    /// Budget as configured (-1 = unlimited); stable input for cache
-    /// signatures while `budget` counts down.
-    long long initial = -1;
-  };
+  std::map<Rung, FaultKind> faults;
 
-  std::map<Rung, Entry> faults;
-  /// kStall sleep duration.
-  double stall_ms = 25.0;
-  /// kTimeout sleeps until the attempt token stops, but never longer than
-  /// this (so a plan without any deadline still terminates).
-  double timeout_cap_ms = 50.0;
-
-  bool active() const noexcept { return !faults.empty(); }
-
-  /// Non-consuming peek: the fault that would fire for `rung` now.
+  /// The fault scheduled for `rung`, or kNone.
   FaultKind fault_for(Rung rung) const {
     const auto it = faults.find(rung);
-    if (it == faults.end()) return FaultKind::kNone;
-    const Entry& entry = it->second;
-    if (entry.budget &&
-        entry.budget->load(std::memory_order_relaxed) <= 0) {
-      return FaultKind::kNone;
-    }
-    return entry.kind;
+    return it == faults.end() ? FaultKind::kNone : it->second;
   }
 
-  /// Consumes one budget unit and returns the fault to inject, or kNone
-  /// when the rung is unscheduled or its budget is spent.
-  FaultKind take_fault(Rung rung) const {
-    const auto it = faults.find(rung);
-    if (it == faults.end()) return FaultKind::kNone;
-    const Entry& entry = it->second;
-    if (entry.budget) {
-      if (entry.budget->fetch_sub(1, std::memory_order_acq_rel) <= 0) {
-        return FaultKind::kNone;
-      }
-    }
-    return entry.kind;
-  }
-
-  /// Schedules `kind` on every attempt of `rung` (unlimited budget).
+  /// Schedules `kind` on every attempt of `rung`.
   FaultPlan& fail(Rung rung, FaultKind kind) {
-    faults[rung] = Entry{kind, nullptr, -1};
-    return *this;
-  }
-
-  /// Schedules `kind` on the first `times` attempts of `rung`.
-  FaultPlan& fail_times(Rung rung, FaultKind kind, long long times) {
-    faults[rung] = Entry{
-        kind, std::make_shared<std::atomic<long long>>(times), times};
+    faults[rung] = kind;
     return *this;
   }
 };
 
 /// Applies a result fault to a candidate vector (kNanResult /
-/// kNegativeResult); throw-kind faults are raised by the ladder itself.
+/// kNegativeResult); throw-kind faults are raised by apply_fault.
 void corrupt_result(linalg::Vector& pi, FaultKind kind);
 
-/// Consumes and applies `plan`'s fault for `rung` against an
-/// already-computed result `pi`. Throw kinds raise SolveError in the
-/// rung's name; corrupt kinds poison `pi` (the health checks must catch
-/// it); kTimeout spins on `token` until it stops (capped by
-/// timeout_cap_ms) and throws kDeadlineExceeded; kStall sleeps stall_ms
-/// ignoring `token` and returns with `pi` intact.
-void apply_fault(const FaultPlan& plan, Rung rung, linalg::Vector& pi,
-                 const robust::CancelToken& token = {});
+/// Applies `plan`'s fault for `rung` against an already-computed result
+/// `pi`. Throw kinds raise SolveError in the rung's name; corrupt kinds
+/// poison `pi` (the health checks must catch it).
+void apply_fault(const FaultPlan& plan, Rung rung, linalg::Vector& pi);
 
 /// Copy of `chain` with every transition rate multiplied by `factor`
 /// (> 0). Scaling is availability-neutral in exact arithmetic but drives

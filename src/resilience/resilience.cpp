@@ -5,18 +5,16 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <thread>
+#include <stdexcept>
 #include <utility>
 
 #include "linalg/iterative.hpp"
 #include "linalg/lu.hpp"
 #include "markov/absorbing.hpp"
-#include "markov/ode.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "resilience/gth.hpp"
 #include "robust/robust.hpp"
-#include "robust/watchdog.hpp"
 
 namespace rascad::resilience {
 
@@ -43,49 +41,12 @@ std::pair<SolveCause, std::string> classify(const std::exception& e) {
   return {SolveCause::kInvalidInput, e.what()};
 }
 
-/// Deterministic jitter factor in [0.5, 1.5) from (seed, rung, retry) via
-/// a splitmix-style hash — reproducible backoff schedules for tests.
-double jitter_factor(std::uint64_t seed, Rung rung, std::size_t retry) {
-  std::uint64_t h = seed;
-  h ^= (static_cast<std::uint64_t>(rung) + 1) * 0x9e3779b97f4a7c15ull;
-  h ^= (static_cast<std::uint64_t>(retry) + 1) * 0xbf58476d1ce4e5b9ull;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  return 0.5 + static_cast<double>(h % 1024) / 1024.0;
-}
-
-/// The episode-wide stop token: request cancellation (config.cancel) plus
-/// the episode deadline, realized as a deadline child so the deadline is
-/// also observed *inside* rungs at solver checkpoints. Invalid when the
-/// config asks for neither — the healthy path stays token-free.
-robust::CancelToken episode_token(const ResilienceConfig& config) {
-  if (config.deadline_ms > 0.0) {
-    return config.cancel.valid()
-               ? robust::CancelToken::child_of(config.cancel,
-                                               config.deadline_ms)
-               : robust::CancelToken::with_deadline_ms(config.deadline_ms);
-  }
-  return config.cancel;
-}
-
-/// Token one rung attempt runs under: fans the episode token out with the
-/// optional per-rung budget. A stopped *attempt* token whose episode is
-/// still live means only the rung budget fired — that attempt fails with
-/// kDeadlineExceeded and the ladder escalates as for any other failure.
-robust::CancelToken attempt_token_for(const robust::CancelToken& episode,
-                                      const ResilienceConfig& config) {
-  if (config.rung_deadline_ms > 0.0) {
-    return robust::CancelToken::child_of(episode, config.rung_deadline_ms);
-  }
-  return episode;
-}
-
 /// Shared ladder driver: runs `attempt_rung` over config.rungs, applying
-/// deadline checks, fault injection hooks and trace bookkeeping. The rung
+/// stop-token checks, fault injection hooks and trace bookkeeping. The rung
 /// callback fills in the attempt's solver fields and returns the candidate
 /// result; `verify` post-processes/checks it (returning failure info via
-/// HealthReport). Throws SolveError when every rung fails.
+/// HealthReport). Throws SolveError when every rung fails, or with the
+/// token's cause as soon as `config.base.cancel` stops.
 template <typename Result, typename AttemptFn, typename VerifyFn>
 Result run_ladder(const std::vector<Rung>& rungs,
                   const ResilienceConfig& config, const char* episode_name,
@@ -98,129 +59,100 @@ Result run_ladder(const std::vector<Rung>& rungs,
     throw SolveError(SolveCause::kInvalidInput, episode_name,
                      "no rungs configured");
   }
-  // Episode-wide stop state: request token + episode deadline. Invalid on
-  // the healthy path, where every token check below short-circuits.
-  const robust::CancelToken episode = episode_token(config);
-  robust::StallWatchdog::Guard stall_guard;
-  if (episode.valid() && config.stall_budget_ms > 0.0) {
-    stall_guard = robust::StallWatchdog::global().watch(
-        episode, config.stall_budget_ms, episode_name);
-  }
+  // Inert on the healthy path, where every token check below
+  // short-circuits.
+  const robust::CancelToken& stop = config.base.cancel;
   // Per-rung durations come from one clock read at the end of each rung
   // (elapsed-so-far differences), keeping the healthy path at two clock
   // reads total.
   double elapsed_ms = 0.0;
   for (Rung rung : rungs) {
-    if (episode.valid() && episode.stop_requested()) {
+    if (stop.stop_requested()) {
       trace.total_ms = ms_since(start);
-      robust::record_stop(episode, episode_name);
-      throw SolveError(robust::cause_from(episode.reason()), episode_name,
+      robust::record_stop(stop, episode_name);
+      throw SolveError(robust::cause_from(stop.reason()), episode_name,
                        std::string("episode stopped (") +
-                           robust::to_string(episode.reason()) + ") after " +
+                           robust::to_string(stop.reason()) + ") after " +
                            trace.summary());
     }
-    bool escalate = false;
-    for (std::size_t retry = 0; !escalate; ++retry) {
-      RungAttempt attempt;
-      attempt.rung = rung;
-      const double rung_start_ms = elapsed_ms;
-      obs::Span attempt_span("ladder.attempt");
-      // Each attempt runs under a child of the episode token carrying the
-      // optional per-rung budget; a stopped attempt token whose episode is
-      // still live is an ordinary rung failure and escalates.
-      const robust::CancelToken attempt_token =
-          attempt_token_for(episode, config);
-      try {
-        Result candidate = attempt_rung(rung, attempt, attempt_token);
-        apply_fault(config.fault_plan, rung, candidate.pi, attempt_token);
-        const HealthReport health = verify(rung, candidate, attempt);
-        attempt.clamped_mass = health.clamped_mass;
-        attempt.residual_check = health.residual_inf;
-        if (!health.ok) {
-          obs::emit_event("health.check_failed",
-                          {{"episode", episode_name},
-                           {"rung", to_string(rung)},
-                           {"detail", health.detail}});
-          throw SolveError(health.failure.value_or(SolveCause::kNanOrInf),
-                           to_string(rung), health.detail,
-                           attempt.iterations, attempt.residual);
+    RungAttempt attempt;
+    attempt.rung = rung;
+    const double rung_start_ms = elapsed_ms;
+    obs::Span attempt_span("ladder.attempt");
+    try {
+      Result candidate = attempt_rung(rung, attempt);
+      apply_fault(config.fault_plan, rung, candidate.pi);
+      const HealthReport health = verify(rung, candidate, attempt);
+      attempt.clamped_mass = health.clamped_mass;
+      attempt.residual_check = health.residual_inf;
+      if (!health.ok) {
+        obs::emit_event("health.check_failed",
+                        {{"episode", episode_name},
+                         {"rung", to_string(rung)},
+                         {"detail", health.detail}});
+        throw SolveError(health.failure.value_or(SolveCause::kNanOrInf),
+                         to_string(rung), health.detail, attempt.iterations,
+                         attempt.residual);
+      }
+      attempt.success = true;
+      elapsed_ms = ms_since(start);
+      attempt.duration_ms = elapsed_ms - rung_start_ms;
+      trace.attempts.push_back(attempt);
+      trace.success = true;
+      trace.final_rung = rung;
+      trace.total_ms = elapsed_ms;
+      if (obs::enabled()) {
+        if (attempt_span.active()) {
+          attempt_span.set_detail(std::string(to_string(rung)) + " ok");
         }
-        attempt.success = true;
-        elapsed_ms = ms_since(start);
-        attempt.duration_ms = elapsed_ms - rung_start_ms;
-        trace.attempts.push_back(attempt);
-        trace.success = true;
-        trace.final_rung = rung;
+        static obs::Counter& attempts_total =
+            obs::Registry::global().counter("ladder.attempts");
+        static obs::Counter& escalations =
+            obs::Registry::global().counter("ladder.escalations");
+        static obs::Histogram& attempt_ms =
+            obs::Registry::global().histogram("ladder.attempt_ms");
+        attempts_total.inc();
+        escalations.inc(trace.attempts.size() - 1);
+        attempt_ms.observe_ms(attempt.duration_ms);
+      }
+      return candidate;
+    } catch (const std::exception& e) {
+      const auto [cause, message] = classify(e);
+      attempt.success = false;
+      attempt.cause = cause;
+      attempt.message = message;
+      elapsed_ms = ms_since(start);
+      attempt.duration_ms = elapsed_ms - rung_start_ms;
+      trace.attempts.push_back(attempt);
+      if (obs::enabled()) {
+        if (attempt_span.active()) {
+          attempt_span.set_detail(std::string(to_string(rung)) +
+                                  " failed (" + to_string(cause) + ")");
+        }
+        static obs::Counter& attempts_total =
+            obs::Registry::global().counter("ladder.attempts");
+        static obs::Counter& failures =
+            obs::Registry::global().counter("ladder.attempt_failures");
+        static obs::Histogram& attempt_ms =
+            obs::Registry::global().histogram("ladder.attempt_ms");
+        attempts_total.inc();
+        failures.inc();
+        attempt_ms.observe_ms(attempt.duration_ms);
+        obs::emit_event("ladder.attempt_failed",
+                        {{"episode", episode_name},
+                         {"rung", to_string(rung)},
+                         {"cause", to_string(cause)},
+                         {"message", message}});
+      }
+      if ((cause == SolveCause::kCancelled ||
+           cause == SolveCause::kDeadlineExceeded) &&
+          stop.stop_requested()) {
+        // The episode stopped: no further rung can be admitted, abort
+        // terminally.
         trace.total_ms = elapsed_ms;
-        if (obs::enabled()) {
-          if (attempt_span.active()) {
-            attempt_span.set_detail(std::string(to_string(rung)) + " ok");
-          }
-          static obs::Counter& attempts_total =
-              obs::Registry::global().counter("ladder.attempts");
-          static obs::Counter& escalations =
-              obs::Registry::global().counter("ladder.escalations");
-          static obs::Histogram& attempt_ms =
-              obs::Registry::global().histogram("ladder.attempt_ms");
-          attempts_total.inc();
-          escalations.inc(trace.attempts.size() - 1);
-          attempt_ms.observe_ms(attempt.duration_ms);
-        }
-        return candidate;
-      } catch (const std::exception& e) {
-        const auto [cause, message] = classify(e);
-        attempt.success = false;
-        attempt.cause = cause;
-        attempt.message = message;
-        elapsed_ms = ms_since(start);
-        attempt.duration_ms = elapsed_ms - rung_start_ms;
-        trace.attempts.push_back(attempt);
-        if (obs::enabled()) {
-          if (attempt_span.active()) {
-            attempt_span.set_detail(std::string(to_string(rung)) +
-                                    " failed (" + to_string(cause) + ")");
-          }
-          static obs::Counter& attempts_total =
-              obs::Registry::global().counter("ladder.attempts");
-          static obs::Counter& failures =
-              obs::Registry::global().counter("ladder.attempt_failures");
-          static obs::Histogram& attempt_ms =
-              obs::Registry::global().histogram("ladder.attempt_ms");
-          attempts_total.inc();
-          failures.inc();
-          attempt_ms.observe_ms(attempt.duration_ms);
-          obs::emit_event("ladder.attempt_failed",
-                          {{"episode", episode_name},
-                           {"rung", to_string(rung)},
-                           {"cause", to_string(cause)},
-                           {"message", message}});
-        }
-        if ((cause == SolveCause::kCancelled ||
-             cause == SolveCause::kDeadlineExceeded) &&
-            episode.valid() && episode.stop_requested()) {
-          // The *episode* stopped, not just a rung budget: no further rung
-          // can be admitted, abort terminally.
-          trace.total_ms = elapsed_ms;
-          robust::record_stop(episode, episode_name);
-          throw SolveError(robust::cause_from(episode.reason()),
-                           episode_name, "episode stopped: " +
-                                             trace.summary());
-        }
-        if (cause == SolveCause::kTransient &&
-            retry < config.transient_retries) {
-          // Same-rung retry after deterministic jittered exponential
-          // backoff: base * 2^retry * jitter[0.5, 1.5).
-          const double backoff =
-              config.retry_backoff_ms *
-              static_cast<double>(1ull << std::min<std::size_t>(retry, 20)) *
-              jitter_factor(config.retry_jitter_seed, rung, retry);
-          if (backoff > 0.0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(backoff));
-          }
-          continue;
-        }
-        escalate = true;  // next rung
+        robust::record_stop(stop, episode_name);
+        throw SolveError(robust::cause_from(stop.reason()), episode_name,
+                         "episode stopped: " + trace.summary());
       }
     }
   }
@@ -293,11 +225,8 @@ Candidate direct_rung(const markov::Ctmc& chain,
 }
 
 Candidate iterative_rung(const markov::Ctmc& chain, Rung rung,
-                         const ResilienceConfig& config,
-                         const robust::CancelToken& token) {
+                         const ResilienceConfig& config) {
   markov::SteadyStateOptions opts = config.base;
-  opts.cancel = token;
-  opts.cancel_check_interval = config.cancel_check_interval;
   switch (rung) {
     case Rung::kBiCgStab:
       opts.method = markov::SteadyStateMethod::kBiCgStab;
@@ -344,6 +273,18 @@ ResilienceConfig config_from(const markov::SteadyStateOptions& opts) {
     if (r != first) rungs.push_back(r);
   }
   config.rungs = std::move(rungs);
+  return config;
+}
+
+ResilienceConfig resolve_config(
+    const std::optional<ResilienceConfig>& override_config,
+    const markov::SteadyStateOptions& steady,
+    const robust::CancelToken& loop_cancel) {
+  ResilienceConfig config =
+      override_config ? *override_config : config_from(steady);
+  config.base.cancel = robust::CancelToken::any_of(
+      config.base.cancel, robust::CancelToken::any_of(steady.cancel,
+                                                      loop_cancel));
   return config;
 }
 
@@ -397,15 +338,14 @@ ResilientResult solve_steady_state_resilient(const markov::Ctmc& chain,
                                   Rung::kPower, Rung::kGth});
   const Candidate solved = run_ladder<Candidate>(
       rungs, config, "solve_steady_state_resilient", out.trace,
-      [&](Rung rung, RungAttempt& attempt,
-          const robust::CancelToken& token) -> Candidate {
+      [&](Rung rung, RungAttempt& attempt) -> Candidate {
         switch (rung) {
           case Rung::kDirect:
             return direct_rung(chain, config, attempt);
           case Rung::kGth:
             return {gth_stationary(chain), 0, 0.0};
           default:
-            return iterative_rung(chain, rung, config, token);
+            return iterative_rung(chain, rung, config);
         }
       },
       [&](Rung, Candidate& candidate, RungAttempt& attempt) -> HealthReport {
@@ -434,7 +374,7 @@ ResilientResult stationary_resilient(const markov::Dtmc& dtmc,
   if (rungs.empty()) rungs = {Rung::kDirect, Rung::kPower, Rung::kGth};
   const Candidate solved = run_ladder<Candidate>(
       rungs, config, "stationary_resilient", out.trace,
-      [&](Rung rung, RungAttempt&, const robust::CancelToken&) -> Candidate {
+      [&](Rung rung, RungAttempt&) -> Candidate {
         switch (rung) {
           case Rung::kDirect:
             return {dtmc.stationary(/*direct=*/true), 0, 0.0};
@@ -498,58 +438,11 @@ ResilientResult smp_steady_state_resilient(
   return out;
 }
 
-ResilientTransientResult transient_distribution_resilient(
-    const markov::Ctmc& chain, const linalg::Vector& pi0, double t,
-    const markov::TransientOptions& opts, const ResilienceConfig& config) {
-  ResilientTransientResult out;
-  if (chain.size() > config.max_states) {
-    throw SolveError(SolveCause::kBudgetExceeded,
-                     "transient_distribution_resilient",
-                     "chain has " + std::to_string(chain.size()) +
-                         " states, budget is " +
-                         std::to_string(config.max_states));
-  }
-  std::vector<Rung> rungs = filter_rungs(
-      config.rungs,
-      {Rung::kUniformization, Rung::kUniformizationRelaxed, Rung::kOde});
-  if (rungs.empty()) {
-    rungs = {Rung::kUniformization, Rung::kUniformizationRelaxed, Rung::kOde};
-  }
-  const Candidate solved = run_ladder<Candidate>(
-      rungs, config, "transient_distribution_resilient", out.trace,
-      [&](Rung rung, RungAttempt& attempt,
-          const robust::CancelToken&) -> Candidate {
-        switch (rung) {
-          case Rung::kUniformization:
-            return {markov::transient_distribution(chain, pi0, t, opts), 0,
-                    0.0};
-          case Rung::kUniformizationRelaxed: {
-            // Loosen the truncation tolerance and raise the term budget:
-            // a slightly coarser answer beats no answer.
-            markov::TransientOptions relaxed = opts;
-            relaxed.tolerance = std::max(opts.tolerance * 1e3, 1e-9);
-            relaxed.max_terms = opts.max_terms * 8;
-            return {markov::transient_distribution(chain, pi0, t, relaxed),
-                    0, 0.0};
-          }
-          default: {
-            markov::OdeOptions ode;
-            const markov::OdeResult r =
-                markov::transient_distribution_ode(chain, pi0, t, ode);
-            attempt.iterations = r.steps;
-            return {r.distribution, r.steps, 0.0};
-          }
-        }
-      },
-      [&](Rung, Candidate& candidate, RungAttempt&) -> HealthReport {
-        return check_distribution(candidate.pi, config.health);
-      });
-  out.distribution = std::move(solved.pi);
-  return out;
-}
-
 double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
                       const ResilienceConfig& config, SolveTrace* trace) {
+  if (initial >= chain.size()) {
+    throw std::out_of_range("mttf_resilient: initial state out of range");
+  }
   if (chain.down_states().empty()) return 0.0;
   const markov::Ctmc rel = markov::make_down_states_absorbing(chain);
 
@@ -586,8 +479,7 @@ double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
   SolveTrace& tr = trace ? *trace : local_trace;
   const Candidate solved = run_ladder<Candidate>(
       rungs, config, "mttf_resilient", tr,
-      [&](Rung rung, RungAttempt& attempt,
-          const robust::CancelToken& token) -> Candidate {
+      [&](Rung rung, RungAttempt& attempt) -> Candidate {
         switch (rung) {
           case Rung::kDirect: {
             linalg::DenseMatrix dense = a.to_dense();
@@ -608,8 +500,8 @@ double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
             linalg::IterativeOptions iopts;
             iopts.tolerance = config.base.tolerance;
             iopts.max_iterations = config.base.max_iterations;
-            iopts.cancel = token;
-            iopts.cancel_check_interval = config.cancel_check_interval;
+            iopts.cancel = config.base.cancel;
+            iopts.cancel_check_interval = config.base.cancel_check_interval;
             const linalg::IterativeResult r =
                 linalg::bicgstab_solve(a, ones, iopts);
             if (!r.converged) {
@@ -623,8 +515,8 @@ double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
             iopts.tolerance = config.base.tolerance;
             iopts.max_iterations = config.base.max_iterations;
             iopts.relaxation = config.base.relaxation;
-            iopts.cancel = token;
-            iopts.cancel_check_interval = config.cancel_check_interval;
+            iopts.cancel = config.base.cancel;
+            iopts.cancel_check_interval = config.base.cancel_check_interval;
             const linalg::IterativeResult r = linalg::sor_solve(a, ones, iopts);
             if (!r.converged) {
               throw SolveError(SolveCause::kNonConverged, "sor",

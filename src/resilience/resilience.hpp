@@ -13,23 +13,23 @@
 // GTH rung is subtraction-free and numerically exact, so the ladder only
 // fails outright on structurally unusable input or an exhausted budget.
 //
-// Budgets (state count, iterations, wall-clock deadline) live in
+// Budgets (state count, iterations) and the episode's stop token live in
 // ResilienceConfig; the FaultPlan member is the test hook that forces rung
 // failures (fault_injection.hpp).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
 #include "markov/steady_state.hpp"
-#include "markov/transient.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/health.hpp"
 #include "resilience/solve_error.hpp"
+#include "robust/cancel.hpp"
 #include "semimarkov/smp.hpp"
 
 namespace rascad::resilience {
@@ -39,41 +39,16 @@ struct ResilienceConfig {
   /// method and ends with the subtraction-free exact one.
   std::vector<Rung> rungs = {Rung::kDirect, Rung::kBiCgStab, Rung::kSor,
                              Rung::kPower, Rung::kGth};
-  /// Tolerance / iteration budget / relaxation shared by the rungs.
+  /// Tolerance / iteration budget / relaxation shared by the rungs, plus
+  /// the episode's stop token: `base.cancel` is checked before every rung
+  /// and, every `base.cancel_check_interval` iterations, inside the
+  /// iterative ones. A stopped token aborts the ladder with
+  /// SolveError(kCancelled / kDeadlineExceeded); an episode deadline is
+  /// `base.cancel = robust::CancelToken::with_deadline_ms(...)`.
   markov::SteadyStateOptions base;
   /// State-space budget: chains larger than this are refused up front with
   /// SolveError(kBudgetExceeded) instead of attempting an O(n^3) rung.
   std::size_t max_states = 200'000;
-  /// Wall-clock deadline over the whole ladder in milliseconds; realized
-  /// as a deadline child token of `cancel`, so it is also observed *inside*
-  /// rungs at solver checkpoints (pre-robust behaviour only checked between
-  /// rungs). 0 disables.
-  double deadline_ms = 0.0;
-  /// Cooperative cancellation for the whole episode. Fans out to each
-  /// attempt as a child token; a stopped episode token aborts the ladder
-  /// with SolveError(kCancelled / kDeadlineExceeded). Inert by default.
-  robust::CancelToken cancel;
-  /// Wall-clock budget per rung attempt in milliseconds, charged against
-  /// the request deadline: each attempt runs under a child token expiring
-  /// after this long. A rung that only blows its *own* budget escalates to
-  /// the next rung; the episode aborts only when the episode deadline /
-  /// cancellation fired. 0 disables.
-  double rung_deadline_ms = 0.0;
-  /// Retries of the *same* rung on SolveError(kTransient) before the
-  /// failure escalates, with deterministic jittered exponential backoff.
-  std::size_t transient_retries = 0;
-  /// Base backoff before the first transient retry; doubles per retry and
-  /// is scaled by a deterministic jitter in [0.5, 1.5) derived from
-  /// retry_jitter_seed, the rung, and the retry index.
-  double retry_backoff_ms = 0.1;
-  std::uint64_t retry_jitter_seed = 0x9e3779b97f4a7c15ull;
-  /// Iteration cadence of solver-loop cancellation checkpoints (forwarded
-  /// into markov::SteadyStateOptions along with the attempt token).
-  std::size_t cancel_check_interval = 64;
-  /// When > 0 and the episode carries a token, the episode registers with
-  /// the stall watchdog: a stop the solve fails to observe within this
-  /// many milliseconds bumps robust.stalled. 0 disables.
-  double stall_budget_ms = 0.0;
   HealthCheckConfig health;
   /// Test-only deterministic fault injection; inert when empty.
   FaultPlan fault_plan;
@@ -81,8 +56,20 @@ struct ResilienceConfig {
 
 /// Builds a config whose ladder starts at the rung matching
 /// `opts.method` (callers that explicitly ask for, say, SOR still get their
-/// method first) and continues with the remaining default rungs.
+/// method first) and continues with the remaining default rungs. The
+/// ladder inherits `opts` whole, stop token included.
 ResilienceConfig config_from(const markov::SteadyStateOptions& opts);
+
+/// The one rule that turns a caller's options into a ladder config: the
+/// explicit `override_config` when set, else config_from(steady). The stop
+/// tokens of the config, of `steady` and of the surrounding parallel loop
+/// (`loop_cancel`) are then joined into `base.cancel`, so stopping any of
+/// them stops the solve. Inert tokens add nothing, so the healthy path
+/// stays token-free.
+ResilienceConfig resolve_config(
+    const std::optional<ResilienceConfig>& override_config,
+    const markov::SteadyStateOptions& steady,
+    const robust::CancelToken& loop_cancel = {});
 
 /// One rung's attempt, successful or not.
 struct RungAttempt {
@@ -164,20 +151,10 @@ ResilientResult smp_steady_state_resilient(
     const semimarkov::SemiMarkovProcess& process,
     const ResilienceConfig& config = {});
 
-/// Transient distribution with a uniformization -> relaxed-budget
-/// uniformization -> RKF45 ODE ladder, NaN/Inf-scanned at every rung.
-struct ResilientTransientResult {
-  linalg::Vector distribution;
-  SolveTrace trace;
-};
-ResilientTransientResult transient_distribution_resilient(
-    const markov::Ctmc& chain, const linalg::Vector& pi0, double t,
-    const markov::TransientOptions& opts = {},
-    const ResilienceConfig& config = {});
-
 /// Mean time to failure (down states absorbing) with a Direct -> BiCGStab
 /// -> SOR ladder on the fundamental system (-Q_TT) tau = 1. Returns 0 for
 /// chains that cannot fail. `trace` (optional) receives the episode.
+/// Throws std::out_of_range when `initial` is not a state of `chain`.
 double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
                       const ResilienceConfig& config = {},
                       SolveTrace* trace = nullptr);

@@ -27,11 +27,10 @@ enum class SolveCause {
   kNanOrInf,          // non-finite values or invalid probability mass
   kBudgetExceeded,    // state-space / term / step budget exceeded
   kBadConditioning,   // condition estimate above the configured threshold
-  kDeadlineExceeded,  // deadline token expired (request or rung budget)
+  kDeadlineExceeded,  // deadline token expired
   kInvalidInput,      // structurally unusable input (e.g. absorbing state
                       // handed to an irreducible-chain solver)
   kCancelled,         // cooperative cancel token observed mid-solve
-  kTransient,         // transient fault worth retrying on the same rung
 };
 
 inline const char* to_string(SolveCause cause) {
@@ -44,23 +43,17 @@ inline const char* to_string(SolveCause cause) {
     case SolveCause::kDeadlineExceeded: return "deadline-exceeded";
     case SolveCause::kInvalidInput: return "invalid-input";
     case SolveCause::kCancelled: return "cancelled";
-    case SolveCause::kTransient: return "transient";
   }
   return "unknown";
 }
 
-/// Identity of a solver rung across the resilience ladders. The
-/// steady-state ladder uses the first five; the transient ladder uses the
-/// uniformization/ODE rungs.
+/// Identity of a solver rung across the resilience ladders.
 enum class Rung {
   kDirect,     // dense LU on the replaced-row system
   kBiCgStab,   // preconditioned Krylov solve
   kSor,        // Gauss-Seidel / SOR sweeps
   kPower,      // power iteration on the uniformized DTMC
   kGth,        // Grassmann-Taksar-Heyman elimination (subtraction-free)
-  kUniformization,         // Jensen's method, strict tolerance
-  kUniformizationRelaxed,  // Jensen's method, relaxed truncation budget
-  kOde,        // adaptive RKF45 integration
 };
 
 inline const char* to_string(Rung rung) {
@@ -70,9 +63,6 @@ inline const char* to_string(Rung rung) {
     case Rung::kSor: return "sor";
     case Rung::kPower: return "power";
     case Rung::kGth: return "gth";
-    case Rung::kUniformization: return "uniformization";
-    case Rung::kUniformizationRelaxed: return "uniformization-relaxed";
-    case Rung::kOde: return "ode";
   }
   return "unknown";
 }

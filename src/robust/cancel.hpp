@@ -12,10 +12,10 @@
 //  * Monotonic-clock deadlines. Expiry is evaluated lazily against
 //    steady_clock at the checkpoints themselves — no timer thread, immune
 //    to wall-clock jumps.
-//  * Parent -> child linking. A request token fans out to per-phase /
-//    per-rung children (optionally with their own tighter deadline); a
-//    child observes its parent's stop but never stops the parent, so a
-//    rung budget can expire without killing the request.
+//  * Parent -> child linking. A request token fans out to per-phase
+//    children (optionally with their own tighter deadline); a child
+//    observes its parent's stop but never stops the parent. any_of joins
+//    two tokens the same one-way.
 //
 // Checkpoints only ever *throw*; they never alter arithmetic. A run that is
 // not cancelled is therefore bitwise identical to a run with no token at
@@ -80,6 +80,8 @@ struct CancelState {
   bool has_deadline = false;
   Clock::time_point deadline{};
   std::shared_ptr<CancelState> parent;
+  /// Second parent of a joined token (CancelToken::any_of); null otherwise.
+  std::shared_ptr<CancelState> other_parent;
 
   static std::int64_t now_ns() noexcept {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -107,7 +109,7 @@ struct CancelState {
                                         std::memory_order_acq_rel);
   }
 
-  /// Checks own flag, then own deadline, then the parent chain. When
+  /// Checks own flag, then own deadline, then the parent chains. When
   /// `observe` is true the first positive check stamps observed_ns (on
   /// this state and, transitively, on the ancestor that stopped). The
   /// watchdog polls with observe=false so its monitoring never counts as
@@ -121,6 +123,10 @@ struct CancelState {
       } else if (parent && parent->stopped(observe)) {
         trigger(static_cast<StopReason>(
             parent->reason.load(std::memory_order_acquire)));
+        r = reason.load(std::memory_order_acquire);
+      } else if (other_parent && other_parent->stopped(observe)) {
+        trigger(static_cast<StopReason>(
+            other_parent->reason.load(std::memory_order_acquire)));
         r = reason.load(std::memory_order_acquire);
       }
     }
@@ -165,11 +171,23 @@ class CancelToken {
   }
 
   /// Child with its own deadline `deadline_ms` from now — the shape of a
-  /// per-rung budget charged against the request token.
+  /// per-request deadline charged against a service lifetime token.
   static CancelToken child_of(const CancelToken& parent, double deadline_ms) {
     CancelToken child = with_deadline_ms(deadline_ms);
     child.state_->parent = parent.state_;
     return child;
+  }
+
+  /// A token that stops when either `a` or `b` stops — a solve's own token
+  /// joined with the loop token of the work around it. When one side is
+  /// inert, or both are the same token, the other is returned unchanged.
+  static CancelToken any_of(const CancelToken& a, const CancelToken& b) {
+    if (!a.valid() || a == b) return b;
+    if (!b.valid()) return a;
+    auto state = std::make_shared<detail::CancelState>();
+    state->parent = a.state_;
+    state->other_parent = b.state_;
+    return CancelToken(std::move(state));
   }
 
   bool valid() const noexcept { return state_ != nullptr; }

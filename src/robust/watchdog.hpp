@@ -2,12 +2,11 @@
 //
 // Cancellation here is cooperative — a stop request only takes effect when
 // the running code reaches a checkpoint. A solver stuck inside a kernel
-// (or an injected kStall fault) never reaches one, and the request appears
-// to hang. The watchdog makes that visible: register a token with a
-// latency budget, and a single background thread polls registered tokens;
-// any token that has stopped but remains unobserved past its budget is
-// flagged once — robust.stalled counter plus a robust.stall trace event
-// naming the work.
+// never reaches one, and the request appears to hang. The watchdog makes
+// that visible: register a token with a latency budget, and a single
+// background thread polls registered tokens; any token that has stopped
+// but remains unobserved past its budget is flagged once — robust.stalled
+// counter plus a robust.stall trace event naming the work.
 //
 // The watchdog polls with stop_requested_silent(), so its own monitoring
 // never counts as the workload observing the stop.

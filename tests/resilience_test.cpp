@@ -2,6 +2,7 @@
 // behaviour (budgets, deadlines, escalation on genuinely sick inputs),
 // and the documented per-method SolveError causes.
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,7 +10,6 @@
 #include "markov/absorbing.hpp"
 #include "markov/dtmc.hpp"
 #include "markov/steady_state.hpp"
-#include "markov/transient.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/gth.hpp"
 #include "resilience/health.hpp"
@@ -274,7 +274,8 @@ TEST(Ladder, StateBudgetRefusedUpFront) {
 
 TEST(Ladder, DeadlineCheckedBetweenRungs) {
   ResilienceConfig config;
-  config.deadline_ms = 1e-9;  // expires during the first rung
+  // Expires during the first rung.
+  config.base.cancel = rascad::robust::CancelToken::with_deadline_ms(1e-9);
   config.fault_plan.fail(Rung::kDirect, FaultKind::kThrowNonConverged);
   try {
     solve_steady_state_resilient(repair_chain(), config);
@@ -410,18 +411,6 @@ TEST(Wrappers, SmpSteadyStateResilient) {
   EXPECT_NEAR(r.result.pi[0] + r.result.pi[1], 1.0, 1e-12);
 }
 
-TEST(Wrappers, TransientResilientMatchesUniformization) {
-  const Ctmc chain = repair_chain();
-  const Vector pi0 = rascad::markov::point_mass(chain, 0);
-  const Vector plain =
-      rascad::markov::transient_distribution(chain, pi0, 0.7);
-  const ResilientTransientResult r =
-      transient_distribution_resilient(chain, pi0, 0.7);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kUniformization);
-  EXPECT_LT(max_rel_err(r.distribution, plain), 1e-10);
-}
-
 TEST(Wrappers, MttfResilientMatchesAnalytic) {
   // Up -> down at rate lambda: MTTF = 1 / lambda from "up".
   const double lambda = 0.25;
@@ -439,6 +428,18 @@ TEST(Wrappers, MttfResilientMatchesAbsorbingAnalysis) {
   const rascad::markov::AbsorbingAnalysis analysis(rel);
   const double want = analysis.mean_time_to_absorption(0);
   EXPECT_NEAR(mttf_resilient(chain, 0), want, 1e-9 * want);
+}
+
+TEST(Wrappers, MttfResilientRejectsOutOfRangeInitialState) {
+  // Like AbsorbingAnalysis::mean_time_to_absorption, an initial state
+  // outside the chain is refused before any work, also on a chain that
+  // cannot fail.
+  const Ctmc chain = repair_chain();
+  EXPECT_THROW(mttf_resilient(chain, chain.size()), std::out_of_range);
+  EXPECT_THROW(mttf_resilient(chain, 1'000'000'000), std::out_of_range);
+  CtmcBuilder b;
+  b.add_state("up", 1.0);
+  EXPECT_THROW(mttf_resilient(b.build(), 1), std::out_of_range);
 }
 
 TEST(Wrappers, MttfZeroWhenChainCannotFail) {

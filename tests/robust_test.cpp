@@ -4,8 +4,9 @@
 // and the status columns of the CSV round-trip.
 #include <atomic>
 #include <chrono>
-#include <locale>
 #include <cmath>
+#include <locale>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -19,7 +20,10 @@
 #include "core/library.hpp"
 #include "core/sweep.hpp"
 #include "exec/parallel.hpp"
+#include "gmb/workspace.hpp"
 #include "markov/ctmc.hpp"
+#include "mg/generator.hpp"
+#include "mg/measures.hpp"
 #include "mg/system.hpp"
 #include "resilience/fault_injection.hpp"
 #include "resilience/resilience.hpp"
@@ -104,6 +108,31 @@ TEST(CancelToken, ChildDeadlineExpiresWithoutStoppingParent) {
   EXPECT_FALSE(request.stop_requested());
 }
 
+TEST(CancelToken, AnyOfStopsWhenEitherSideStops) {
+  const CancelToken inert;
+  const CancelToken a = CancelToken::manual();
+  const CancelToken b = CancelToken::manual();
+  // Inert sides and self-joins pass the other token through unchanged.
+  EXPECT_FALSE(CancelToken::any_of(inert, inert).valid());
+  EXPECT_TRUE(CancelToken::any_of(a, inert) == a);
+  EXPECT_TRUE(CancelToken::any_of(inert, a) == a);
+  EXPECT_TRUE(CancelToken::any_of(a, a) == a);
+
+  const CancelToken joined = CancelToken::any_of(a, b);
+  EXPECT_FALSE(joined.stop_requested());
+  b.request_cancel();
+  EXPECT_TRUE(joined.stop_requested());
+  EXPECT_EQ(joined.reason(), StopReason::kCancelled);
+  EXPECT_FALSE(a.stop_requested());  // one-way, like child_of
+
+  const CancelToken deadline = CancelToken::with_deadline_ms(1e-6);
+  const CancelToken joined2 = CancelToken::any_of(CancelToken::manual(),
+                                                  deadline);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(joined2.stop_requested());
+  EXPECT_EQ(joined2.reason(), StopReason::kDeadlineExceeded);
+}
+
 TEST(CancelToken, FanOutAcrossThreads) {
   // One request token copied into many worker threads: every worker's
   // checkpoint sees the stop, and copies share the sticky state.
@@ -180,7 +209,7 @@ TEST(Ladder, UncancelledRunBitwiseIdenticalToTokenFreeRun) {
   const ResilientResult a = solve_steady_state_resilient(chain, bare);
 
   ResilienceConfig armed = bare;
-  armed.cancel = CancelToken::with_deadline_ms(1e9);  // never fires
+  armed.base.cancel = CancelToken::with_deadline_ms(1e9);  // never fires
   const ResilientResult b = solve_steady_state_resilient(chain, armed);
 
   ASSERT_EQ(a.result.pi.size(), b.result.pi.size());
@@ -197,8 +226,8 @@ TEST(Ladder, CancelledMidSolveThrowsCancelled) {
   config.rungs = {Rung::kPower};
   config.base.tolerance = 1e-16;  // unreachable: runs until cancelled
   config.base.max_iterations = 500'000'000;
-  config.cancel = CancelToken::manual();
-  std::thread canceller([token = config.cancel] {
+  config.base.cancel = CancelToken::manual();
+  std::thread canceller([token = config.base.cancel] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     token.request_cancel();
   });
@@ -211,21 +240,21 @@ TEST(Ladder, CancelledMidSolveThrowsCancelled) {
     EXPECT_EQ(e.cause(), SolveCause::kCancelled);
   }
   // The iteration-loop checkpoint observed the stop promptly.
-  EXPECT_TRUE(config.cancel.observed());
-  EXPECT_GE(config.cancel.observed_latency_ms(), 0.0);
-  EXPECT_LT(config.cancel.observed_latency_ms(), 250.0);
+  EXPECT_TRUE(config.base.cancel.observed());
+  EXPECT_GE(config.base.cancel.observed_latency_ms(), 0.0);
+  EXPECT_LT(config.base.cancel.observed_latency_ms(), 250.0);
 }
 
 TEST(Ladder, DeadlineExpiryMidLadderAbortsWithDeadlineCause) {
-  // The episode deadline (not just a rung budget) fires while a stiff
-  // power solve is running: the ladder must abort with kDeadlineExceeded
-  // instead of escalating to the remaining rungs.
+  // The episode deadline fires while a stiff power solve is running: the
+  // ladder must abort with kDeadlineExceeded instead of escalating to the
+  // remaining rungs.
   const Ctmc chain = ill_conditioned_chain(100, 1e7);
   ResilienceConfig config;
   config.rungs = {Rung::kPower, Rung::kGth};
   config.base.tolerance = 1e-16;
   config.base.max_iterations = 500'000'000;
-  config.deadline_ms = 10.0;
+  config.base.cancel = CancelToken::with_deadline_ms(10.0);
   try {
     (void)solve_steady_state_resilient(chain, config);
     FAIL() << "expected SolveError(kDeadlineExceeded)";
@@ -234,49 +263,95 @@ TEST(Ladder, DeadlineExpiryMidLadderAbortsWithDeadlineCause) {
   }
 }
 
-TEST(Ladder, RungBudgetExpiryEscalatesInsteadOfAborting) {
-  // A per-rung budget blows on the injected-timeout rung; the episode has
-  // plenty of deadline left, so the ladder escalates and succeeds.
-  const Ctmc chain = repair_chain();
-  ResilienceConfig config;
-  config.rungs = {Rung::kDirect, Rung::kGth};
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kTimeout);
-  config.rung_deadline_ms = 2.0;
-  const ResilientResult r = solve_steady_state_resilient(chain, config);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kGth);
-  ASSERT_EQ(r.trace.attempts.size(), 2u);
-  EXPECT_FALSE(r.trace.attempts[0].success);
-  EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kDeadlineExceeded);
+// ------------------------------------------------- cancel plumbing ----
+// The caller's own SteadyStateOptions::cancel must reach the ladder through
+// every entry point that derives a ResilienceConfig from it.
+
+TEST(CancelPlumbing, ConfigFromCarriesSteadyToken) {
+  const Ctmc chain = ill_conditioned_chain(100, 1e7);
+  rascad::markov::SteadyStateOptions opts;
+  opts.method = rascad::markov::SteadyStateMethod::kPower;
+  opts.max_iterations = 200'000;
+  opts.cancel = CancelToken::manual();
+  opts.cancel.request_cancel();
+  try {
+    (void)solve_steady_state_resilient(chain, config_from(opts));
+    FAIL() << "expected SolveError(kCancelled)";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.cause(), SolveCause::kCancelled);
+  }
+  EXPECT_TRUE(opts.cancel.observed());
 }
 
-TEST(Ladder, TransientFaultRetriedOnSameRung) {
-  const Ctmc chain = repair_chain();
-  ResilienceConfig config;
-  config.rungs = {Rung::kDirect, Rung::kGth};
-  config.fault_plan.fail_times(Rung::kDirect, FaultKind::kThrowTransient, 2);
-  config.transient_retries = 3;
-  config.retry_backoff_ms = 0.01;
-  const ResilientResult r = solve_steady_state_resilient(chain, config);
-  EXPECT_TRUE(r.trace.success);
-  // Two transient failures, then the same rung succeeds — no escalation.
-  EXPECT_EQ(r.trace.final_rung, Rung::kDirect);
-  ASSERT_EQ(r.trace.attempts.size(), 3u);
-  EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kTransient);
-  EXPECT_EQ(r.trace.attempts[1].cause, SolveCause::kTransient);
-  EXPECT_TRUE(r.trace.attempts[2].success);
+TEST(CancelPlumbing, ComputeMeasuresHonoursSteadyToken) {
+  rascad::spec::GlobalParams globals;
+  rascad::spec::BlockSpec block;
+  block.name = "board";
+  block.mtbf_h = 8'760.0;
+  block.mttr_corrective_min = 60.0;
+  block.service_response_h = 4.0;
+  const rascad::mg::GeneratedModel model =
+      rascad::mg::generate(block, globals);
+  rascad::mg::MeasureOptions opts;
+  opts.steady.cancel = CancelToken::manual();
+  opts.steady.cancel.request_cancel();
+  try {
+    (void)rascad::mg::compute_measures(model, globals, opts);
+    FAIL() << "expected SolveError(kCancelled)";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.cause(), SolveCause::kCancelled);
+  }
 }
 
-TEST(Ladder, TransientRetriesExhaustedEscalates) {
-  const Ctmc chain = repair_chain();
-  ResilienceConfig config;
-  config.rungs = {Rung::kDirect, Rung::kGth};
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kThrowTransient);
-  config.transient_retries = 1;
-  config.retry_backoff_ms = 0.01;
-  const ResilientResult r = solve_steady_state_resilient(chain, config);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kGth);
+TEST(CancelPlumbing, WorkspaceAvailabilityHonoursSteadyToken) {
+  rascad::gmb::Workspace ws;
+  ws.add_markov("m", repair_chain());
+  ws.steady_options.cancel = CancelToken::manual();
+  ws.steady_options.cancel.request_cancel();
+  try {
+    (void)ws.availability("m");
+    FAIL() << "expected SolveError(kCancelled)";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.cause(), SolveCause::kCancelled);
+  }
+}
+
+TEST(CancelPlumbing, ResolveConfigJoinsEveryToken) {
+  // No token anywhere: the healthy path stays token-free.
+  EXPECT_FALSE(resolve_config(std::nullopt, {}).base.cancel.valid());
+
+  // Whichever of the override's, the steady options' or the loop's token
+  // stops, the resolved episode stops, while the other two stay live.
+  for (int source = 0; source < 3; ++source) {
+    const CancelToken stopped = CancelToken::manual();
+    ResilienceConfig override_config;
+    override_config.base.cancel = CancelToken::manual();
+    rascad::markov::SteadyStateOptions steady;
+    steady.cancel = CancelToken::manual();
+    CancelToken loop = CancelToken::manual();
+    if (source == 0) override_config.base.cancel = stopped;
+    if (source == 1) steady.cancel = stopped;
+    if (source == 2) loop = stopped;
+    const ResilienceConfig config =
+        resolve_config(override_config, steady, loop);
+    EXPECT_FALSE(config.base.cancel.stop_requested()) << source;
+    stopped.request_cancel();
+    EXPECT_TRUE(config.base.cancel.stop_requested()) << source;
+  }
+
+  // Through a solve: a stopped loop token aborts the episode even though
+  // the caller's own steady token is live.
+  rascad::markov::SteadyStateOptions steady;
+  steady.cancel = CancelToken::manual();
+  const CancelToken loop = CancelToken::manual();
+  loop.request_cancel();
+  try {
+    (void)solve_steady_state_resilient(
+        repair_chain(), resolve_config(std::nullopt, steady, loop));
+    FAIL() << "expected SolveError(kCancelled)";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.cause(), SolveCause::kCancelled);
+  }
 }
 
 // ----------------------------------------------------- parallel loops ----
@@ -342,17 +417,29 @@ TEST(ParallelStatusLoop, ThrowingVariantRaisesOnSkippedWork) {
 // --------------------------------------------------- partial sweeps ------
 
 TEST(DegradedSweep, DeadlineBoundedSweepReturnsCompletedPrefix) {
-  const rascad::spec::ModelSpec spec = rascad::core::library::entry_server();
+  // Each fresh point costs real solver work: the swept Boot Disk becomes
+  // a 32-unit redundant block (127 states) solved by power iteration
+  // alone, a few thousand iterations per point (~3 ms on a 4-core x86
+  // host) that the deadline interrupts at the solver's checkpoints. The
+  // baseline MTBF is the first sweep value, so point 0 reuses the
+  // pre-warmed solve and lands inside the deadline on any build,
+  // sanitizer builds included.
+  rascad::spec::ModelSpec spec = rascad::core::library::entry_server();
+  rascad::spec::BlockSpec& disk =
+      *spec.find_block("Entry Server", "Boot Disk");
+  disk.quantity = 32;
+  disk.ar_time_min = 6.0;
+  disk.reintegration_min = 8.0;
+  disk.mtbf_h = 1e5;
   rascad::cache::SolveCache cache;
 
   rascad::mg::SystemModel::Options model_opts;
   model_opts.cache = &cache;
   model_opts.parallel.threads = 1;
-  ResilienceConfig faulted;
-  faulted.fault_plan.fail(Rung::kDirect, FaultKind::kTimeout);
-  faulted.rung_deadline_ms = 2.0;
-  model_opts.resilience = faulted;
-  // Pre-warm the baseline so each point costs one injected-timeout solve.
+  ResilienceConfig power_only;
+  power_only.rungs = {Rung::kPower};
+  model_opts.resilience = power_only;
+  // Pre-warm the baseline so each point costs one fresh power solve.
   (void)rascad::mg::SystemModel::build(spec, model_opts);
 
   rascad::core::SweepOptions opts;
