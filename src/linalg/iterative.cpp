@@ -26,15 +26,13 @@ Vector checked_diagonal(const CsrMatrix& a, const char* who) {
 }
 
 /// Cooperative checkpoint at the top of a solver loop: polls the token on
-/// iteration 1 and then every opts.cancel_check_interval iterations.
+/// iteration 1 and then every robust::kCheckInterval iterations.
 /// Throws kCancelled/kDeadlineExceeded; never touches solver state, so an
 /// uncancelled run is bitwise identical to a token-free one.
 inline void checkpoint(const IterativeOptions& opts, std::size_t it,
                        const char* who, double residual) {
   if (!opts.cancel.valid()) return;
-  const std::size_t interval =
-      opts.cancel_check_interval > 0 ? opts.cancel_check_interval : 1;
-  if (it != 1 && it % interval != 0) return;
+  if (it != 1 && it % robust::kCheckInterval != 0) return;
   robust::throw_if_stopped(opts.cancel, who, it - 1, residual);
 }
 

@@ -20,14 +20,13 @@ struct IterativeOptions {
   double tolerance = 1e-12;      // infinity-norm change / residual threshold
   std::size_t max_iterations = 200'000;
   double relaxation = 1.0;       // SOR omega; 1.0 == plain Gauss-Seidel
-  /// Cooperative stop: checked every cancel_check_interval iterations at
+  /// Cooperative stop: checked every robust::kCheckInterval iterations at
   /// the top of the solver loop. A stopped token throws
   /// SolveError(kCancelled / kDeadlineExceeded) carrying the iteration
   /// count reached. Checkpoints never change arithmetic — an uncancelled
   /// run is bitwise identical to one without a token (default token is
   /// inert and costs one branch per check).
   robust::CancelToken cancel;
-  std::size_t cancel_check_interval = 64;
 };
 
 struct IterativeResult {

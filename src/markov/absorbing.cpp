@@ -146,10 +146,9 @@ double AbsorbingAnalysis::expected_visit_time(StateIndex start,
 }
 
 double reliability_at(const Ctmc& absorbing_chain,
-                      const linalg::Vector& initial, double t,
-                      const TransientOptions& opts) {
+                      const linalg::Vector& initial, double t) {
   const linalg::Vector pit =
-      transient_distribution(absorbing_chain, initial, t, opts);
+      transient_distribution(absorbing_chain, initial, t);
   double alive = 0.0;
   for (StateIndex i = 0; i < absorbing_chain.size(); ++i) {
     if (absorbing_chain.exit_rate(i) > 0.0) alive += pit[i];
@@ -158,12 +157,12 @@ double reliability_at(const Ctmc& absorbing_chain,
 }
 
 double hazard_rate(const Ctmc& absorbing_chain, const linalg::Vector& initial,
-                   double t, double dt, const TransientOptions& opts) {
+                   double t, double dt) {
   if (!(dt > 0.0)) {
     throw std::invalid_argument("hazard_rate: dt must be positive");
   }
-  const double r0 = reliability_at(absorbing_chain, initial, t, opts);
-  const double r1 = reliability_at(absorbing_chain, initial, t + dt, opts);
+  const double r0 = reliability_at(absorbing_chain, initial, t);
+  const double r1 = reliability_at(absorbing_chain, initial, t + dt);
   if (r0 <= 0.0 || r1 <= 0.0) return 0.0;
   return -(std::log(r1) - std::log(r0)) / dt;
 }

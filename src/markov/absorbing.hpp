@@ -70,10 +70,10 @@ class AbsorbingAnalysis {
 /// Reliability R(t): probability the chain (with absorbing failure states)
 /// has not been absorbed by time t, starting from `initial`.
 double reliability_at(const Ctmc& absorbing_chain, const linalg::Vector& initial,
-                      double t, const TransientOptions& opts = {});
+                      double t);
 
 /// Hazard rate h(t) ~= -[ln R(t + dt) - ln R(t)] / dt.
 double hazard_rate(const Ctmc& absorbing_chain, const linalg::Vector& initial,
-                   double t, double dt, const TransientOptions& opts = {});
+                   double t, double dt);
 
 }  // namespace rascad::markov

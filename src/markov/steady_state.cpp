@@ -26,9 +26,7 @@ double stationarity_residual(const Ctmc& chain, const linalg::Vector& pi) {
 inline void checkpoint(const SteadyStateOptions& opts, std::size_t it,
                        const char* who) {
   if (!opts.cancel.valid()) return;
-  const std::size_t interval =
-      opts.cancel_check_interval > 0 ? opts.cancel_check_interval : 1;
-  if (it != 1 && it % interval != 0) return;
+  if (it != 1 && it % robust::kCheckInterval != 0) return;
   robust::throw_if_stopped(opts.cancel, who, it - 1);
 }
 
@@ -38,7 +36,6 @@ linalg::IterativeOptions iterative_options_from(
   iopts.tolerance = opts.tolerance;
   iopts.max_iterations = opts.max_iterations;
   iopts.cancel = opts.cancel;
-  iopts.cancel_check_interval = opts.cancel_check_interval;
   return iopts;
 }
 

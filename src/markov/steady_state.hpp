@@ -26,12 +26,11 @@ struct SteadyStateOptions {
   std::size_t max_iterations = 500'000;
   double relaxation = 1.0;  // SOR omega
   /// Cooperative stop, forwarded into every iterative loop (checked every
-  /// cancel_check_interval iterations; see linalg::IterativeOptions). A
+  /// robust::kCheckInterval iterations; see linalg::IterativeOptions). A
   /// stopped token raises SolveError(kCancelled / kDeadlineExceeded); an
   /// uncancelled run is bitwise identical to one without a token. The
   /// direct method has no loop and completes regardless.
   robust::CancelToken cancel;
-  std::size_t cancel_check_interval = 64;
 };
 
 struct SteadyStateResult {

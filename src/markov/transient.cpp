@@ -2,12 +2,18 @@
 
 #include "resilience/solve_error.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 namespace rascad::markov {
 
 namespace {
+
+constexpr double kTolerance = 1e-12;          // admissible truncation mass
+constexpr std::size_t kMaxTerms = 20'000'000;  // hard cap on Poisson terms
 
 void check_inputs(const Ctmc& chain, const linalg::Vector& pi0, double t) {
   if (pi0.size() != chain.size()) {
@@ -39,12 +45,92 @@ double poisson_pmf(double a, std::size_t k) {
                   log_gamma(static_cast<double>(k) + 1.0));
 }
 
-/// Hard truncation point: the Poisson(a) mass beyond a + 12 sqrt(a) + 64
-/// is far below double precision, so reaching this index means the summed
-/// CDF has numerically saturated (rounding noise), not that mass is
-/// missing. Used as a secondary stop after the tolerance test.
-std::size_t poisson_cutoff(double a) {
+/// The uniformized chain as every series term uses it: P transposed, so a
+/// term is a forward, row-ordered SpMV instead of a scattered
+/// mul_transpose, and the uniformization rate q.
+struct Uniformized {
+  linalg::CsrMatrix pt;
+  double q;
+};
+
+Uniformized uniformize(const Ctmc& chain) {
+  const auto [p, q] = chain.uniformized();
+  return {p.transposed(), q};
+}
+
+/// Poisson(a) truncation point for a series over kMaxTerms terms. A series
+/// stops only at k >= a, so a >= kMaxTerms (or NaN, from t = inf) can
+/// never converge: fail before any work, and before the size_t cast,
+/// which is undefined past 2^64. Otherwise the hard cutoff: the Poisson(a)
+/// mass beyond a + 12 sqrt(a) + 64 is far below double precision, so
+/// reaching it means the summed CDF has numerically saturated (rounding
+/// noise), not that mass is missing. Used as a secondary stop after the
+/// tolerance test.
+std::size_t poisson_cutoff(double a, const char* who) {
+  if (!(a < static_cast<double>(kMaxTerms))) {
+    throw resilience::SolveError(
+        resilience::SolveCause::kBudgetExceeded, who,
+        "Poisson mean q*t exceeds the term budget (reduce the horizon)");
+  }
   return static_cast<std::size_t>(a + 12.0 * std::sqrt(a) + 64.0);
+}
+
+[[noreturn]] void throw_not_converged(const char* who) {
+  throw resilience::SolveError(
+      resilience::SolveCause::kBudgetExceeded, who,
+      "Poisson truncation did not converge (reduce the horizon)");
+}
+
+/// pi(t) = sum_k Poisson(q t; k) pi0 P^k.
+linalg::Vector distribution_series(const Uniformized& u,
+                                   const linalg::Vector& pi0, double t) {
+  const double a = u.q * t;
+  const std::size_t cutoff = poisson_cutoff(a, "transient_distribution");
+  linalg::Vector v = pi0;  // v_k = pi0 P^k
+  linalg::Vector pit(pi0.size(), 0.0);
+  double cumulative = 0.0;
+  for (std::size_t k = 0; k < kMaxTerms; ++k) {
+    const double w = poisson_pmf(a, k);
+    if (w > 0.0) linalg::axpy(w, v, pit);
+    cumulative += w;
+    if ((cumulative >= 1.0 - kTolerance && static_cast<double>(k) >= a) ||
+        k >= cutoff) {
+      // The dropped tail has mass < tolerance (or below the double-sum
+      // noise floor past the cutoff); fold it into the current vector so
+      // probabilities still sum to ~1.
+      linalg::axpy(1.0 - cumulative, v, pit);
+      return pit;
+    }
+    v = u.pt.mul(v);
+  }
+  throw_not_converged("transient_distribution");
+}
+
+/// Integral of r . pi(u) du over (0, t) for an arbitrary rate vector r.
+double integral_series(const Uniformized& u, const linalg::Vector& pi0,
+                       double t, const linalg::Vector& r) {
+  const double a = u.q * t;
+  const std::size_t cutoff = poisson_cutoff(a, "accumulated_reward");
+  linalg::Vector v = pi0;
+  double acc = 0.0;
+  double cumulative = 0.0;   // Poisson CDF up to the current term
+  double weight_sum = 0.0;   // sum of integral weights, converges to t
+  for (std::size_t k = 0; k < kMaxTerms; ++k) {
+    cumulative += poisson_pmf(a, k);
+    const double w = (1.0 - cumulative) / u.q;  // weight of v_k
+    if (w > 0.0) {
+      acc += w * linalg::dot(r, v);
+      weight_sum += w;
+    }
+    if ((t - weight_sum <= kTolerance * t && static_cast<double>(k) >= a) ||
+        k >= cutoff) {
+      // Attribute the residual integral mass to the current vector.
+      acc += (t - weight_sum) * linalg::dot(r, v);
+      return acc;
+    }
+    v = u.pt.mul(v);
+  }
+  throw_not_converged("accumulated_reward");
 }
 
 /// Stationarity check: ||pi Q||_inf scaled by the uniformization rate.
@@ -53,135 +139,52 @@ bool is_stationary(const Ctmc& chain, const linalg::Vector& pi, double q) {
   return linalg::norm_inf(flow) < 1e-10 * std::max(q, 1.0);
 }
 
-}  // namespace
+struct Mixed {
+  double window;
+  linalg::Vector pi;  // pi(window), already stationary
+};
 
-linalg::Vector transient_distribution(const Ctmc& chain,
-                                      const linalg::Vector& pi0, double t,
-                                      const TransientOptions& opts) {
-  check_inputs(chain, pi0, t);
+/// Steady-state detection for horizons beyond the term budget: search
+/// windows 512/q, x16, ... up to a fifth of the budget for one after which
+/// pi0 has mixed; pi at that window is then pi at every later time. Empty
+/// when q*t fits the budget or the chain does not mix within the cap.
+std::optional<Mixed> mixing_window(const Ctmc& chain, const Uniformized& u,
+                                   const linalg::Vector& pi0, double t) {
+  if (!(u.q * t > 0.4 * static_cast<double>(kMaxTerms))) return std::nullopt;
+  double window = 512.0 / u.q;
+  const double window_cap = 0.2 * static_cast<double>(kMaxTerms) / u.q;
+  while (window < t) {
+    linalg::Vector pi_w = distribution_series(u, pi0, window);
+    if (is_stationary(chain, pi_w, u.q)) return Mixed{window, std::move(pi_w)};
+    if (window >= window_cap) break;
+    window = std::min(window * 16.0, window_cap);
+  }
+  return std::nullopt;
+}
+
+linalg::Vector distribution(const Ctmc& chain, const Uniformized& u,
+                            const linalg::Vector& pi0, double t) {
   if (t == 0.0) return pi0;
-  const auto [p, q] = chain.uniformized();
-  // Steady-state detection: for horizons beyond the term budget, find a
-  // shorter window after which the distribution is stationary; it is then
-  // the distribution at t as well.
-  if (q * t > 0.4 * static_cast<double>(opts.max_terms)) {
-    double window = 512.0 / q;
-    const double window_cap =
-        0.2 * static_cast<double>(opts.max_terms) / q;
-    while (window < t) {
-      const linalg::Vector pi_w =
-          transient_distribution(chain, pi0, window, opts);
-      if (is_stationary(chain, pi_w, q)) return pi_w;
-      if (window >= window_cap) break;
-      window = std::min(window * 16.0, window_cap);
-    }
+  if (std::optional<Mixed> mixed = mixing_window(chain, u, pi0, t)) {
+    return std::move(mixed->pi);
   }
-  const double a = q * t;
-  // Transpose P once so every series term is a forward, row-ordered SpMV
-  // instead of a scattered mul_transpose.
-  const linalg::CsrMatrix pt = p.transposed();
-  linalg::Vector v = pi0;  // v_k = pi0 P^k
-  linalg::Vector pit(chain.size(), 0.0);
-  double cumulative = 0.0;
-  const std::size_t cutoff = poisson_cutoff(a);
-  for (std::size_t k = 0; k < opts.max_terms; ++k) {
-    const double w = poisson_pmf(a, k);
-    if (w > 0.0) linalg::axpy(w, v, pit);
-    cumulative += w;
-    if ((cumulative >= 1.0 - opts.tolerance &&
-         static_cast<double>(k) >= a) ||
-        k >= cutoff) {
-      // The dropped tail has mass < tolerance (or below the double-sum
-      // noise floor past the cutoff); fold it into the current vector so
-      // probabilities still sum to ~1.
-      linalg::axpy(1.0 - cumulative, v, pit);
-      return pit;
-    }
-    v = pt.mul(v);
-  }
-  throw resilience::SolveError(
-      resilience::SolveCause::kBudgetExceeded, "transient_distribution",
-      "Poisson truncation did not converge (increase max_terms or reduce "
-      "the horizon)");
+  return distribution_series(u, pi0, t);
 }
 
-namespace {
-
-/// Integral of r . pi(u) du over (0, t) for an arbitrary rate vector r —
-/// shared by accumulated reward and the crossing-flow integrals.
-double integrate_rate(const Ctmc& chain, const linalg::Vector& pi0, double t,
-                      const linalg::Vector& r, const TransientOptions& opts);
-
-}  // namespace
-
-double accumulated_reward(const Ctmc& chain, const linalg::Vector& pi0,
-                          double t, const TransientOptions& opts) {
-  check_inputs(chain, pi0, t);
-  if (t == 0.0) return 0.0;
-  return integrate_rate(chain, pi0, t, chain.reward_vector(), opts);
+/// Integral of r . pi(u) du over (0, t); after a mixing window the rest of
+/// the horizon accrues at the stationary rate r . pi_ss.
+double integral(const Ctmc& chain, const Uniformized& u,
+                const linalg::Vector& pi0, double t, const linalg::Vector& r) {
+  if (std::optional<Mixed> mixed = mixing_window(chain, u, pi0, t)) {
+    const double head = integral_series(u, pi0, mixed->window, r);
+    return head + linalg::dot(r, mixed->pi) * (t - mixed->window);
+  }
+  return integral_series(u, pi0, t, r);
 }
 
-namespace {
-
-double integrate_rate(const Ctmc& chain, const linalg::Vector& pi0, double t,
-                      const linalg::Vector& r, const TransientOptions& opts) {
-  const auto [p, q] = chain.uniformized();
-  // Steady-state detection for long horizons: when q*t would blow the term
-  // budget, look for a much shorter window after which the chain has
-  // mixed, integrate that window exactly, and extend with the stationary
-  // rate r . pi_ss over the remainder.
-  if (q * t > 0.4 * static_cast<double>(opts.max_terms)) {
-    double window = 512.0 / q;
-    const double window_cap =
-        0.2 * static_cast<double>(opts.max_terms) / q;
-    while (window < t) {
-      const linalg::Vector pi_w =
-          transient_distribution(chain, pi0, window, opts);
-      if (is_stationary(chain, pi_w, q)) {
-        const double head = integrate_rate(chain, pi0, window, r, opts);
-        return head + linalg::dot(r, pi_w) * (t - window);
-      }
-      if (window >= window_cap) break;  // never mixes: fall through
-      window = std::min(window * 16.0, window_cap);
-    }
-  }
-  const double a = q * t;
-  const linalg::CsrMatrix pt = p.transposed();
-  linalg::Vector v = pi0;
-  double acc = 0.0;
-  double cumulative = 0.0;   // Poisson CDF up to the current term
-  double weight_sum = 0.0;   // sum of integral weights, converges to t
-  const std::size_t cutoff = poisson_cutoff(a);
-  for (std::size_t k = 0; k < opts.max_terms; ++k) {
-    cumulative += poisson_pmf(a, k);
-    const double w = (1.0 - cumulative) / q;  // weight of v_k in the integral
-    if (w > 0.0) {
-      acc += w * linalg::dot(r, v);
-      weight_sum += w;
-    }
-    if ((t - weight_sum <= opts.tolerance * t &&
-         static_cast<double>(k) >= a) ||
-        k >= cutoff) {
-      // Attribute the residual integral mass to the current vector.
-      acc += (t - weight_sum) * linalg::dot(r, v);
-      return acc;
-    }
-    v = pt.mul(v);
-  }
-  throw resilience::SolveError(
-      resilience::SolveCause::kBudgetExceeded, "accumulated_reward",
-      "Poisson truncation did not converge (increase max_terms or reduce "
-      "the horizon)");
-}
-
-}  // namespace
-
-double expected_crossings(const Ctmc& chain, const linalg::Vector& pi0,
-                          double t, bool up_to_down,
-                          const TransientOptions& opts) {
-  check_inputs(chain, pi0, t);
-  if (t == 0.0) return 0.0;
-  // Flow rate out of each source-class state into the other class.
+/// Flow rate out of each source-class state (up states when `up_to_down`)
+/// into the other class.
+linalg::Vector crossing_flow(const Ctmc& chain, bool up_to_down) {
   linalg::Vector flow(chain.size(), 0.0);
   const auto& q = chain.generator();
   for (StateIndex i = 0; i < chain.size(); ++i) {
@@ -195,35 +198,68 @@ double expected_crossings(const Ctmc& chain, const linalg::Vector& pi0,
       if (j_up != i_up) flow[i] += row.values[k];
     }
   }
-  return integrate_rate(chain, pi0, t, flow, opts);
+  return flow;
+}
+
+/// Expected up->down (or down->up) crossings over (0, t) divided by the
+/// time spent in the source class.
+double interval_crossing_rate(const Ctmc& chain, const linalg::Vector& pi0,
+                              double t, bool up_to_down) {
+  check_inputs(chain, pi0, t);
+  if (t == 0.0) return 0.0;
+  const Uniformized u = uniformize(chain);
+  const double up_time = integral(chain, u, pi0, t, chain.reward_vector());
+  const double source_time = up_to_down ? up_time : t - up_time;
+  if (source_time <= 0.0) return 0.0;
+  return integral(chain, u, pi0, t, crossing_flow(chain, up_to_down)) /
+         source_time;
+}
+
+}  // namespace
+
+linalg::Vector transient_distribution(const Ctmc& chain,
+                                      const linalg::Vector& pi0, double t) {
+  check_inputs(chain, pi0, t);
+  if (t == 0.0) return pi0;
+  return distribution(chain, uniformize(chain), pi0, t);
+}
+
+double accumulated_reward(const Ctmc& chain, const linalg::Vector& pi0,
+                          double t) {
+  check_inputs(chain, pi0, t);
+  if (t == 0.0) return 0.0;
+  return integral(chain, uniformize(chain), pi0, t, chain.reward_vector());
+}
+
+double expected_crossings(const Ctmc& chain, const linalg::Vector& pi0,
+                          double t, bool up_to_down) {
+  check_inputs(chain, pi0, t);
+  if (t == 0.0) return 0.0;
+  return integral(chain, uniformize(chain), pi0, t,
+                  crossing_flow(chain, up_to_down));
 }
 
 double interval_failure_rate(const Ctmc& chain, const linalg::Vector& pi0,
-                             double t, const TransientOptions& opts) {
-  const double up_time = accumulated_reward(chain, pi0, t, opts);
-  if (up_time <= 0.0) return 0.0;
-  return expected_crossings(chain, pi0, t, true, opts) / up_time;
+                             double t) {
+  return interval_crossing_rate(chain, pi0, t, true);
 }
 
 double interval_recovery_rate(const Ctmc& chain, const linalg::Vector& pi0,
-                              double t, const TransientOptions& opts) {
-  const double up_time = accumulated_reward(chain, pi0, t, opts);
-  const double down_time = t - up_time;
-  if (down_time <= 0.0) return 0.0;
-  return expected_crossings(chain, pi0, t, false, opts) / down_time;
+                              double t) {
+  return interval_crossing_rate(chain, pi0, t, false);
 }
 
 double interval_availability(const Ctmc& chain, const linalg::Vector& pi0,
-                             double t, const TransientOptions& opts) {
+                             double t) {
   if (!(t > 0.0)) {
     throw std::invalid_argument("interval_availability: t must be positive");
   }
-  return accumulated_reward(chain, pi0, t, opts) / t;
+  return accumulated_reward(chain, pi0, t) / t;
 }
 
 double point_availability(const Ctmc& chain, const linalg::Vector& pi0,
-                          double t, const TransientOptions& opts) {
-  const linalg::Vector pit = transient_distribution(chain, pi0, t, opts);
+                          double t) {
+  const linalg::Vector pit = transient_distribution(chain, pi0, t);
   double acc = 0.0;
   for (StateIndex i = 0; i < chain.size(); ++i) {
     acc += pit[i] * chain.reward(i);
@@ -232,19 +268,19 @@ double point_availability(const Ctmc& chain, const linalg::Vector& pi0,
 }
 
 linalg::Vector reward_curve(const Ctmc& chain, const linalg::Vector& pi0,
-                            double horizon, std::size_t steps,
-                            const TransientOptions& opts) {
+                            double horizon, std::size_t steps) {
   check_inputs(chain, pi0, horizon);
   if (!(horizon > 0.0) || steps == 0) {
     throw std::invalid_argument("reward_curve: need positive horizon/steps");
   }
   const double h = horizon / static_cast<double>(steps);
+  const Uniformized u = uniformize(chain);
   const linalg::Vector r = chain.reward_vector();
   linalg::Vector curve(steps + 1);
   linalg::Vector pi = pi0;
   curve[0] = linalg::dot(r, pi);
   for (std::size_t k = 1; k <= steps; ++k) {
-    pi = transient_distribution(chain, pi, h, opts);
+    pi = distribution(chain, u, pi, h);
     curve[k] = linalg::dot(r, pi);
   }
   return curve;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "markov/absorbing.hpp"
@@ -33,61 +33,9 @@ rbd::TimeFunction interpolate(std::shared_ptr<const linalg::Vector> curve,
   };
 }
 
-std::string block_key(const std::string& diagram, const std::string& block) {
-  return diagram + "\x1f" + block;
-}
-
-/// Recursive tree construction shared by the steady-state build and the
-/// per-query transient/reliability rebuilds: the leaf factory decides what
-/// each block's own chain contributes.
-class TreeBuilder {
- public:
-  using LeafFactory = std::function<rbd::RbdNodePtr(
-      const spec::DiagramSpec&, const spec::BlockSpec&)>;
-
-  TreeBuilder(const spec::ModelSpec& model, LeafFactory factory)
-      : model_(model), factory_(std::move(factory)) {}
-
-  rbd::RbdNodePtr build(const spec::DiagramSpec& diagram) {
-    std::vector<rbd::RbdNodePtr> children;
-    children.reserve(diagram.blocks.size());
-    for (const auto& block : diagram.blocks) {
-      rbd::RbdNodePtr own;
-      if (block.has_own_failures()) {
-        own = factory_(diagram, block);
-      }
-      rbd::RbdNodePtr sub;
-      if (block.subdiagram) {
-        const spec::DiagramSpec* d = model_.find_diagram(*block.subdiagram);
-        if (!d) {
-          throw std::invalid_argument("SystemModel: dangling subdiagram '" +
-                                      *block.subdiagram + "'");
-        }
-        sub = build(*d);
-      }
-      if (own && sub) {
-        children.push_back(
-            rbd::RbdNode::series(block.name, {std::move(own), std::move(sub)}));
-      } else if (own) {
-        children.push_back(std::move(own));
-      } else if (sub) {
-        children.push_back(std::move(sub));
-      } else {
-        throw std::invalid_argument("SystemModel: block '" + block.name +
-                                    "' contributes nothing");
-      }
-    }
-    return rbd::RbdNode::series(diagram.name, std::move(children));
-  }
-
- private:
-  const spec::ModelSpec& model_;
-  LeafFactory factory_;
-};
-
-/// Collects the chain-bearing blocks in the exact order TreeBuilder's leaf
-/// factory visits them (own chain first, then the subdiagram's blocks), so
-/// a pre-solved vector can be consumed by a running cursor.
+/// Collects the chain-bearing blocks in visit order (own chain first, then
+/// the subdiagram's blocks): the order of SystemModel::blocks() and of the
+/// leaf index compose_tree passes to its factory.
 void collect_chain_blocks(
     const spec::ModelSpec& model, const spec::DiagramSpec& diagram,
     std::vector<std::pair<const spec::DiagramSpec*, const spec::BlockSpec*>>&
@@ -105,17 +53,59 @@ void collect_chain_blocks(
   }
 }
 
-/// Composes the serial RBD from the solved block table in visit order.
-rbd::RbdNodePtr compose_tree(const spec::ModelSpec& spec,
-                             const std::vector<SystemModel::BlockEntry>& blocks) {
+/// Makes the leaf of the i-th chain-bearing block in visit order.
+using LeafFactory =
+    std::function<rbd::RbdNodePtr(std::size_t, const spec::BlockSpec&)>;
+
+rbd::RbdNodePtr compose_diagram(const spec::ModelSpec& model,
+                                const spec::DiagramSpec& diagram,
+                                const LeafFactory& leaf, std::size_t& cursor) {
+  std::vector<rbd::RbdNodePtr> children;
+  children.reserve(diagram.blocks.size());
+  for (const auto& block : diagram.blocks) {
+    rbd::RbdNodePtr own;
+    if (block.has_own_failures()) own = leaf(cursor++, block);
+    rbd::RbdNodePtr sub;
+    if (block.subdiagram) {
+      const spec::DiagramSpec* d = model.find_diagram(*block.subdiagram);
+      if (!d) {
+        throw std::invalid_argument("SystemModel: dangling subdiagram '" +
+                                    *block.subdiagram + "'");
+      }
+      sub = compose_diagram(model, *d, leaf, cursor);
+    }
+    if (own && sub) {
+      children.push_back(
+          rbd::RbdNode::series(block.name, {std::move(own), std::move(sub)}));
+    } else if (own) {
+      children.push_back(std::move(own));
+    } else if (sub) {
+      children.push_back(std::move(sub));
+    } else {
+      throw std::invalid_argument("SystemModel: block '" + block.name +
+                                  "' contributes nothing");
+    }
+  }
+  return rbd::RbdNode::series(diagram.name, std::move(children));
+}
+
+/// The one walk that turns the diagram hierarchy into the serial RBD,
+/// shared by the steady-state build and the per-query transient,
+/// reliability and override trees: each block's own-chain leaf comes from
+/// `leaf`, indexed like the solved block table.
+rbd::RbdNodePtr compose_tree(const spec::ModelSpec& model,
+                             const LeafFactory& leaf) {
   std::size_t cursor = 0;
-  TreeBuilder builder(
-      spec, [&blocks, &cursor](const spec::DiagramSpec&,
-                               const spec::BlockSpec& block) -> rbd::RbdNodePtr {
-        const SystemModel::BlockEntry& entry = blocks.at(cursor++);
-        return rbd::RbdNode::leaf(block.name, entry.availability);
-      });
-  return builder.build(spec.root());
+  return compose_diagram(model, model.root(), leaf, cursor);
+}
+
+/// Steady-state RBD over the solved block table.
+rbd::RbdNodePtr steady_tree(const spec::ModelSpec& model,
+                            const std::vector<SystemModel::BlockEntry>& blocks) {
+  return compose_tree(model, [&blocks](std::size_t i,
+                                       const spec::BlockSpec& block) {
+    return rbd::RbdNode::leaf(block.name, blocks.at(i).availability);
+  });
 }
 
 // Curve-kind discriminants for the sampled-curve memo key. A curve is a
@@ -134,12 +124,32 @@ cache::Signature curve_key(const cache::Signature& block_sig,
   return key;
 }
 
+/// One block's curve of `kind` on `steps` segments over (0, horizon): the
+/// point availability of its chain, or the survival of its absorbing
+/// variant.
+linalg::Vector sample_curve(const SystemModel::BlockEntry& b,
+                            std::uint64_t kind, double horizon,
+                            std::size_t steps) {
+  if (kind == kCurveAvailability) {
+    const linalg::Vector pi0 = markov::point_mass(*b.chain, b.initial);
+    return markov::reward_curve(*b.chain, pi0, horizon, steps);
+  }
+  const markov::Ctmc rel = markov::make_down_states_absorbing(*b.chain);
+  if (rel.down_states().empty()) {
+    // Block cannot fail; survival is identically 1.
+    return linalg::Vector(steps + 1, 1.0);
+  }
+  const linalg::Vector pi0 = markov::point_mass(rel, b.initial);
+  // Survival = probability mass on transient states; reward 1 on up
+  // transient states equals survival because absorbed states are down.
+  return markov::reward_curve(rel, pi0, horizon, steps);
+}
+
 /// Memoized sampling of one block curve: consult `cache` (may be null),
-/// otherwise run `sample` and insert the result.
-template <typename SampleFn>
+/// otherwise sample it and insert the result.
 std::shared_ptr<const linalg::Vector> sample_curve_cached(
     const SystemModel::BlockEntry& block, std::uint64_t kind, double horizon,
-    std::size_t steps, cache::SolveCache* cache, SampleFn&& sample) {
+    std::size_t steps, cache::SolveCache* cache) {
   obs::Span span("curve.sample");
   cache::Signature key;
   if (cache) {
@@ -154,9 +164,37 @@ std::shared_ptr<const linalg::Vector> sample_curve_cached(
   if (span.active()) {
     span.set_detail(block.diagram + "/" + block.block.name + " sampled");
   }
-  auto curve = std::make_shared<const linalg::Vector>(sample());
+  auto curve = std::make_shared<const linalg::Vector>(
+      sample_curve(block, kind, horizon, steps));
   if (cache) cache->put_curve(key, curve);
   return curve;
+}
+
+/// Per-query transient RBD: every block's `kind` curve, sampled in
+/// parallel by block index, becomes its leaf's point-availability
+/// (kCurveAvailability) or reliability function.
+rbd::RbdNodePtr curve_tree(const SystemModel& sm, std::uint64_t kind,
+                           double horizon, std::size_t steps) {
+  const auto& blocks = sm.blocks();
+  const SystemModel::Options& opts = sm.options();
+  std::vector<std::shared_ptr<const linalg::Vector>> curves(blocks.size());
+  exec::parallel_for(
+      blocks.size(),
+      [&](std::size_t i) {
+        curves[i] =
+            sample_curve_cached(blocks[i], kind, horizon, steps, opts.cache);
+      },
+      opts.parallel);
+  return compose_tree(sm.spec(), [&](std::size_t i,
+                                     const spec::BlockSpec& block) {
+    const std::shared_ptr<const linalg::Vector>& curve = curves.at(i);
+    if (kind == kCurveAvailability) {
+      return rbd::RbdNode::leaf(block.name, curve->back(),
+                                interpolate(curve, horizon));
+    }
+    return rbd::RbdNode::leaf(block.name, 1.0, nullptr,
+                              interpolate(curve, horizon));
+  });
 }
 
 }  // namespace
@@ -289,7 +327,7 @@ SystemModel SystemModel::build(spec::ModelSpec model, const Options& opts) {
       },
       opts.parallel);
 
-  sm.root_ = compose_tree(sm.spec_, sm.blocks_);
+  sm.root_ = steady_tree(sm.spec_, sm.blocks_);
   return sm;
 }
 
@@ -378,7 +416,7 @@ SystemModel SystemModel::rebuild(const SystemModel& base,
       },
       opts.parallel);
 
-  sm.root_ = compose_tree(sm.spec_, sm.blocks_);
+  sm.root_ = steady_tree(sm.spec_, sm.blocks_);
   return sm;
 }
 
@@ -399,93 +437,9 @@ double SystemModel::interval_availability(double horizon) const {
     throw std::invalid_argument(
         "SystemModel::interval_availability: horizon must be positive");
   }
-  // Precompute each block's point-availability curve on a shared grid; the
-  // transient solves are independent, so they run in parallel by index.
-  std::vector<std::shared_ptr<const linalg::Vector>> sampled(blocks_.size());
-  exec::parallel_for(
-      blocks_.size(),
-      [&](std::size_t i) {
-        const auto& b = blocks_[i];
-        sampled[i] = sample_curve_cached(
-            b, kCurveAvailability, horizon, opts_.curve_steps, opts_.cache,
-            [&] {
-              const linalg::Vector pi0 =
-                  markov::point_mass(*b.chain, b.initial);
-              return markov::reward_curve(*b.chain, pi0, horizon,
-                                          opts_.curve_steps);
-            });
-      },
-      opts_.parallel);
-  std::unordered_map<std::string, std::shared_ptr<const linalg::Vector>>
-      curves;
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    curves.emplace(block_key(blocks_[i].diagram, blocks_[i].block.name),
-                   sampled[i]);
-  }
-  TreeBuilder builder(
-      spec_, [&](const spec::DiagramSpec& diagram,
-                 const spec::BlockSpec& block) -> rbd::RbdNodePtr {
-        const auto it = curves.find(block_key(diagram.name, block.name));
-        if (it == curves.end()) {
-          throw std::logic_error("SystemModel: missing curve for block '" +
-                                 block.name + "'");
-        }
-        const double steady = (*it->second).back();
-        return rbd::RbdNode::leaf(block.name, steady,
-                                  interpolate(it->second, horizon));
-      });
-  const rbd::RbdNodePtr tree = builder.build(spec_.root());
-  return tree->interval_availability(horizon, opts_.curve_steps);
+  return curve_tree(*this, kCurveAvailability, horizon, opts_.curve_steps)
+      ->interval_availability(horizon, opts_.curve_steps);
 }
-
-namespace {
-
-rbd::RbdNodePtr reliability_tree(
-    const spec::ModelSpec& model,
-    const std::vector<SystemModel::BlockEntry>& blocks, double horizon,
-    std::size_t steps, const exec::ParallelOptions& par,
-    cache::SolveCache* cache) {
-  std::vector<std::shared_ptr<const linalg::Vector>> sampled(blocks.size());
-  exec::parallel_for(
-      blocks.size(),
-      [&](std::size_t i) {
-        const auto& b = blocks[i];
-        sampled[i] = sample_curve_cached(
-            b, kCurveReliability, horizon, steps, cache, [&] {
-              const markov::Ctmc rel =
-                  markov::make_down_states_absorbing(*b.chain);
-              if (rel.down_states().empty()) {
-                // Block cannot fail; survival is identically 1.
-                return linalg::Vector(steps + 1, 1.0);
-              }
-              const linalg::Vector pi0 = markov::point_mass(rel, b.initial);
-              // Survival = probability mass on transient states; reward 1 on
-              // up transient states equals survival because absorbed states
-              // are down.
-              return markov::reward_curve(rel, pi0, horizon, steps);
-            });
-      },
-      par);
-  std::unordered_map<std::string, std::shared_ptr<const linalg::Vector>>
-      curves;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    curves.emplace(block_key(blocks[i].diagram, blocks[i].block.name),
-                   sampled[i]);
-  }
-  TreeBuilder builder(
-      model, [&](const spec::DiagramSpec& diagram,
-                 const spec::BlockSpec& block) -> rbd::RbdNodePtr {
-        const auto it = curves.find(block_key(diagram.name, block.name));
-        if (it == curves.end()) {
-          throw std::logic_error("SystemModel: missing reliability curve");
-        }
-        return rbd::RbdNode::leaf(block.name, 1.0, nullptr,
-                                  interpolate(it->second, horizon));
-      });
-  return builder.build(model.root());
-}
-
-}  // namespace
 
 double SystemModel::reliability(double horizon) const {
   obs::Span span("system.reliability");
@@ -493,8 +447,7 @@ double SystemModel::reliability(double horizon) const {
     throw std::invalid_argument(
         "SystemModel::reliability: horizon must be positive");
   }
-  return reliability_tree(spec_, blocks_, horizon, opts_.curve_steps,
-                          opts_.parallel, opts_.cache)
+  return curve_tree(*this, kCurveReliability, horizon, opts_.curve_steps)
       ->reliability(horizon);
 }
 
@@ -504,8 +457,7 @@ double SystemModel::mttf_numeric_h(double horizon) const {
         "SystemModel::mttf_numeric_h: horizon must be positive");
   }
   const std::size_t steps = std::max<std::size_t>(opts_.curve_steps, 1024);
-  return reliability_tree(spec_, blocks_, horizon, steps, opts_.parallel,
-                          opts_.cache)
+  return curve_tree(*this, kCurveReliability, horizon, steps)
       ->mttf_numeric(horizon, steps);
 }
 
@@ -517,29 +469,20 @@ double SystemModel::availability_with_override(const std::string& diagram,
         "availability_with_override: value outside [0, 1]");
   }
   bool found = false;
-  for (const auto& b : blocks_) {
-    if (b.diagram == diagram && b.block.name == block) found = true;
-  }
+  const rbd::RbdNodePtr tree = compose_tree(
+      spec_, [&](std::size_t i, const spec::BlockSpec& blk) {
+        const BlockEntry& entry = blocks_.at(i);
+        const bool target =
+            entry.diagram == diagram && entry.block.name == block;
+        found = found || target;
+        return rbd::RbdNode::leaf(blk.name,
+                                  target ? value : entry.availability);
+      });
   if (!found) {
     throw std::invalid_argument("availability_with_override: no block '" +
                                 block + "' in diagram '" + diagram + "'");
   }
-  TreeBuilder builder(
-      spec_, [&](const spec::DiagramSpec& d,
-                 const spec::BlockSpec& blk) -> rbd::RbdNodePtr {
-        if (d.name == diagram && blk.name == block) {
-          return rbd::RbdNode::leaf(blk.name, value);
-        }
-        for (const auto& entry : blocks_) {
-          if (entry.diagram == d.name && entry.block.name == blk.name) {
-            return rbd::RbdNode::leaf(blk.name, entry.availability);
-          }
-        }
-        throw std::logic_error(
-            "availability_with_override: missing solved block '" + blk.name +
-            "'");
-      });
-  return builder.build(spec_.root())->availability();
+  return tree->availability();
 }
 
 std::size_t SystemModel::total_states() const {

@@ -501,7 +501,6 @@ double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
             iopts.tolerance = config.base.tolerance;
             iopts.max_iterations = config.base.max_iterations;
             iopts.cancel = config.base.cancel;
-            iopts.cancel_check_interval = config.base.cancel_check_interval;
             const linalg::IterativeResult r =
                 linalg::bicgstab_solve(a, ones, iopts);
             if (!r.converged) {
@@ -516,7 +515,6 @@ double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
             iopts.max_iterations = config.base.max_iterations;
             iopts.relaxation = config.base.relaxation;
             iopts.cancel = config.base.cancel;
-            iopts.cancel_check_interval = config.base.cancel_check_interval;
             const linalg::IterativeResult r = linalg::sor_solve(a, ones, iopts);
             if (!r.converged) {
               throw SolveError(SolveCause::kNonConverged, "sor",

@@ -41,7 +41,7 @@ struct ResilienceConfig {
                              Rung::kPower, Rung::kGth};
   /// Tolerance / iteration budget / relaxation shared by the rungs, plus
   /// the episode's stop token: `base.cancel` is checked before every rung
-  /// and, every `base.cancel_check_interval` iterations, inside the
+  /// and, every robust::kCheckInterval iterations, inside the
   /// iterative ones. A stopped token aborts the ladder with
   /// SolveError(kCancelled / kDeadlineExceeded); an episode deadline is
   /// `base.cancel = robust::CancelToken::with_deadline_ms(...)`.

@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -250,6 +251,10 @@ class CancelToken {
 
   std::shared_ptr<detail::CancelState> state_;
 };
+
+/// Iterations between two polls of a token inside a solver loop; the first
+/// iteration is always polled.
+inline constexpr std::size_t kCheckInterval = 64;
 
 /// Checkpoint helper: throws SolveError(kCancelled / kDeadlineExceeded) in
 /// `who`'s name if the token has stopped.

@@ -3,14 +3,22 @@
 // (against the two-state closed form), and absorbing-chain analysis.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "baselines/baselines.hpp"
+#include "core/library.hpp"
 #include "markov/absorbing.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
 #include "markov/steady_state.hpp"
 #include "markov/transient.hpp"
+#include "mg/system.hpp"
+#include "resilience/solve_error.hpp"
+#include "spec/parser.hpp"
 
 namespace {
 
@@ -241,6 +249,79 @@ TEST(Transient, RejectsBadInputs) {
       rascad::markov::transient_distribution(chain, {0.5, 0.2}, 1.0),
       std::invalid_argument);
   EXPECT_THROW(rascad::markov::point_mass(chain, 9), std::out_of_range);
+}
+
+TEST(Transient, HugeHorizonFailsFastOnTermBudget) {
+  // Up1 <-> Up2 at 100/h, Up1 -> Down at 1e-6/h: the chain does not mix
+  // within the window search, and q*t = 1e302 is far past the term budget,
+  // so the Poisson series can never converge. It must say so (it used to
+  // cast q*t into size_t, undefined behaviour, and return R = 1).
+  CtmcBuilder b;
+  const auto up1 = b.add_state("Up1", 1.0);
+  const auto up2 = b.add_state("Up2", 1.0);
+  const auto down = b.add_state("Down", 0.0);
+  b.add_transition(up1, up2, 100.0);
+  b.add_transition(up2, up1, 100.0);
+  b.add_transition(up1, down, 1e-6);
+  const Ctmc chain = b.build();
+  const auto pi0 = rascad::markov::point_mass(chain, up1);
+  const auto expect_budget = [](const auto& call) {
+    try {
+      call();
+      FAIL() << "expected SolveError(kBudgetExceeded)";
+    } catch (const rascad::resilience::SolveError& e) {
+      EXPECT_EQ(e.cause(), rascad::resilience::SolveCause::kBudgetExceeded);
+    }
+  };
+  expect_budget(
+      [&] { return rascad::markov::reliability_at(chain, pi0, 1e300); });
+  expect_budget([&] {
+    return rascad::markov::transient_distribution(chain, pi0, 1e300);
+  });
+  expect_budget(
+      [&] { return rascad::markov::accumulated_reward(chain, pi0, 1e300); });
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Transient, RewardCurveEqualsChainedDistributionSteps) {
+  // reward_curve builds its uniformized operator once per curve; sample k
+  // must still be bitwise the reward of k chained transient_distribution
+  // steps, for every block chain (and its absorbing variant) of the
+  // example web shop and the library systems.
+  std::vector<rascad::spec::ModelSpec> models = {
+      rascad::spec::parse_model_file(std::string(RASCAD_EXAMPLE_MODELS) +
+                                     "/web_shop.rsc")};
+  for (const auto& entry : rascad::core::library::all_models()) {
+    models.push_back(entry.factory());
+  }
+  constexpr std::size_t kSteps = 256;
+  std::size_t curves = 0;
+  for (const auto& model : models) {
+    const double horizon = model.globals.mission_time_h;
+    const double h = horizon / static_cast<double>(kSteps);
+    const auto system = rascad::mg::SystemModel::build(model);
+    for (const auto& block : system.blocks()) {
+      for (const Ctmc& chain :
+           {*block.chain,
+            rascad::markov::make_down_states_absorbing(*block.chain)}) {
+        SCOPED_TRACE(block.diagram + "/" + block.block.name);
+        const auto r = chain.reward_vector();
+        auto pi = rascad::markov::point_mass(chain, block.initial);
+        const auto curve =
+            rascad::markov::reward_curve(chain, pi, horizon, kSteps);
+        ASSERT_EQ(curve.size(), kSteps + 1);
+        ASSERT_EQ(bits(curve[0]), bits(rascad::linalg::dot(r, pi)));
+        for (std::size_t k = 1; k <= kSteps; ++k) {
+          pi = rascad::markov::transient_distribution(chain, pi, h);
+          ASSERT_EQ(bits(curve[k]), bits(rascad::linalg::dot(r, pi)))
+              << "sample " << k;
+        }
+        ++curves;
+      }
+    }
+  }
+  EXPECT_EQ(curves, 106u);
 }
 
 TEST(Absorbing, TwoStateMttf) {
