@@ -3,27 +3,27 @@
 // Three sections, two of them hard gates (nonzero exit on violation):
 //
 //   1. Healthy-path overhead (< 2%) and bitwise identity (gate). The
-//      overhead is measured where the polls actually live: a long power
-//      solve on a stiff chain, run once with no token (the pre-robust
-//      configuration) and once under a far-future deadline token. The gate
-//      is estimate-based like bench_obs — measured cost of one armed-token
-//      poll x a generous overcount of the polls the workload executes
-//      (iterations / checkpoint cadence, plus episode checks), as a
-//      fraction of the baseline solve time; wall-clock deltas of sub-10ms
-//      workloads are scheduler noise. Bitwise identity is checked on both
-//      the solve (pi, iterations) and a full token-threaded sweep series,
-//      because a checkpoint may only ever throw, never perturb arithmetic.
+//      overhead is measured where the polls actually live: the GTH
+//      elimination of a deep Type 4 chain (893 states, which fills in as
+//      it is eliminated), run with no token (the pre-robust configuration)
+//      and under a far-future deadline token. The gate is estimate-based
+//      like bench_obs — measured cost of one armed-token poll x the polls
+//      the workload executes (one per workspace row and one per eliminated
+//      state), as a fraction of the baseline solve time; wall-clock deltas
+//      of ~10 ms workloads are scheduler noise. Bitwise identity is checked on both the solve (pi,
+//      eliminated states) and a full token-threaded sweep series, because
+//      a checkpoint may only ever throw, never perturb arithmetic.
 //
 //   2. Graceful degradation under a deadline (gate). A 64-point
 //      single-threaded sweep whose every fresh point costs real solver
-//      work (a 127-state block solved by power iteration alone) runs
-//      under a request deadline sized so only a prefix of the points can
-//      finish. The gate: at least one point completes, at least one does
-//      not, the completed points form a prefix, and every unfinished point
-//      reports kDeadlineExceeded.
+//      work (a 511-state block, ~1.6 ms of elimination on a 4-core x86
+//      host) runs under a request deadline sized so only a prefix of the
+//      points can finish. The gate: at least one point completes, at least
+//      one does not, the completed points form a prefix, and every
+//      unfinished point reports kDeadlineExceeded.
 //
-//   3. Cancellation latency (report only): ~20 episodes of a long power
-//      solve cancelled from another thread; p99 of the checkpoint-observed
+//   3. Cancellation latency (report only): 20 GTH solves of the deep chain
+//      cancelled from another thread; p99 of the checkpoint-observed
 //      latency lands in the JSON metrics line.
 #include <algorithm>
 #include <chrono>
@@ -40,7 +40,7 @@
 #include "core/sweep.hpp"
 #include "mg/system.hpp"
 #include "obs/bench_json.hpp"
-#include "resilience/fault_injection.hpp"
+#include "mg/generator.hpp"
 #include "resilience/resilience.hpp"
 #include "robust/cancel.hpp"
 #include "spec/ast.hpp"
@@ -57,11 +57,33 @@ double ms_since(Clock::time_point t0) {
 
 constexpr std::size_t kOverheadPoints = 32;
 
+/// A deep Type 4 block (N = 128, K = 1: 893 states) whose GTH elimination
+/// fills in, so one solve takes milliseconds.
+rascad::markov::Ctmc deep_chain() {
+  rascad::spec::BlockSpec b;
+  b.name = "deep";
+  b.quantity = 128;
+  b.min_quantity = 1;
+  b.mtbf_h = 100'000.0;
+  b.transient_fit = 2'000.0;
+  b.mttr_corrective_min = 45.0;
+  b.service_response_h = 4.0;
+  b.p_correct_diagnosis = 0.95;
+  b.p_latent_fault = 0.05;
+  b.mttdlf_h = 48.0;
+  b.recovery = rascad::spec::Transparency::kNontransparent;
+  b.ar_time_min = 6.0;
+  b.p_spf = 0.01;
+  b.t_spf_min = 30.0;
+  b.repair = rascad::spec::Transparency::kNontransparent;
+  b.reintegration_min = 8.0;
+  return rascad::mg::generate(b, rascad::spec::GlobalParams{}).chain;
+}
+
 /// The healthy-path workload: an incremental single-threaded MTBF sweep of
-/// the Entry Server model against a fresh memo cache, solved through the
-/// power rung so the iteration-loop checkpoints (the hot polls) actually
-/// run. `cancel` is inert for the baseline run and a never-firing deadline
-/// token for the token run.
+/// the Entry Server model against a fresh memo cache. `cancel` is inert
+/// for the baseline run and a never-firing deadline token for the token
+/// run.
 std::vector<rascad::core::SweepPoint> overhead_sweep(
     const rascad::spec::ModelSpec& spec, const CancelToken& cancel,
     double* out_ms) {
@@ -71,9 +93,6 @@ std::vector<rascad::core::SweepPoint> overhead_sweep(
   opts.parallel.cancel = cancel;
   opts.model.parallel.threads = 1;
   opts.model.cache = &cache;
-  rascad::resilience::ResilienceConfig iterative;
-  iterative.rungs = {rascad::resilience::Rung::kPower};
-  opts.model.resilience = iterative;
   const auto t0 = Clock::now();
   auto points = rascad::core::sweep_block_parameter(
       spec, "Entry Server", "Boot Disk",
@@ -113,19 +132,15 @@ int main(int argc, char** argv) {
   // deadline-check path, the most expensive healthy case) but never fires.
   const CancelToken far_deadline = CancelToken::with_deadline_ms(1e9);
 
-  // The overhead workload: a power solve on a stiff chain, thousands of
-  // iterations with a cancellation checkpoint every 64 of them.
-  const rascad::markov::Ctmc stiff =
-      rascad::resilience::ill_conditioned_chain(100, 1e2);
+  // The overhead workload: one GTH solve of the deep chain, a cancellation
+  // checkpoint per workspace row and per eliminated state.
+  const rascad::markov::Ctmc deep = deep_chain();
   rascad::resilience::ResilienceConfig solve_cfg;
-  solve_cfg.rungs = {rascad::resilience::Rung::kPower};
-  solve_cfg.base.tolerance = 1e-12;
-  solve_cfg.base.max_iterations = 50'000'000;
   double baseline_ms = 0.0;
   rascad::resilience::ResilientResult base_solve;
   for (int run = 0; run < 3; ++run) {  // best of 3 against scheduler noise
     const auto t0 = Clock::now();
-    base_solve = rascad::resilience::solve_steady_state_resilient(stiff,
+    base_solve = rascad::resilience::solve_steady_state_resilient(deep,
                                                                   solve_cfg);
     const double ms = ms_since(t0);
     if (run == 0 || ms < baseline_ms) baseline_ms = ms;
@@ -133,17 +148,18 @@ int main(int argc, char** argv) {
   solve_cfg.base.cancel = far_deadline;
   const auto t1 = Clock::now();
   const rascad::resilience::ResilientResult token_solve =
-      rascad::resilience::solve_steady_state_resilient(stiff, solve_cfg);
+      rascad::resilience::solve_steady_state_resilient(deep, solve_cfg);
   const double token_ms = ms_since(t1);
 
+  const std::size_t eliminated = base_solve.trace.total_iterations();
   bool identical =
-      base_solve.result.iterations == token_solve.result.iterations &&
+      eliminated == token_solve.trace.total_iterations() &&
       base_solve.result.pi.size() == token_solve.result.pi.size();
   for (std::size_t i = 0; identical && i < base_solve.result.pi.size(); ++i) {
     identical = base_solve.result.pi[i] == token_solve.result.pi[i];
   }
 
-  // The same token threaded through a full sweep (build + ladder + memo
+  // The same token threaded through a full sweep (build + solve + memo
   // cache) must also leave the series untouched.
   double sweep_base_ms = 0.0;
   double sweep_token_ms = 0.0;
@@ -167,11 +183,8 @@ int main(int argc, char** argv) {
                               .count()) /
       static_cast<double>(kProbes);
 
-  // Generous poll overcount: one poll per 64 solver iterations (the
-  // checkpoint cadence) plus 17 for the first-iteration checkpoint and the
-  // ladder's stop check before its only rung (the actual count of those
-  // is 2).
-  const std::uint64_t polls = base_solve.result.iterations / 64 + 17;
+  // One poll per workspace row, one per eliminated state.
+  const std::uint64_t polls = deep.size() + eliminated;
   const double overhead_ms = static_cast<double>(polls) * per_poll_ns * 1e-6;
   const double overhead_pct =
       baseline_ms > 0.0 ? overhead_ms / baseline_ms * 100.0 : 0.0;
@@ -179,10 +192,10 @@ int main(int argc, char** argv) {
 
   std::cout << std::fixed << std::setprecision(3);
   std::cout << "  baseline solve (no token): " << baseline_ms << " ms ("
-            << base_solve.result.iterations << " iterations)\n";
+            << eliminated << " states eliminated)\n";
   std::cout << "  solve under armed token  : " << token_ms << " ms\n";
   std::cout << "  cost per token poll      : " << per_poll_ns << " ns\n";
-  std::cout << "  polls (overcount)        : " << polls << "\n";
+  std::cout << "  polls                    : " << polls << "\n";
   std::cout << "  estimated overhead       : " << overhead_pct
             << " % (budget 2%)\n";
   std::cout.unsetf(std::ios::fixed);
@@ -193,26 +206,22 @@ int main(int argc, char** argv) {
   constexpr std::size_t kDeadlinePoints = 64;
   rascad::cache::SolveCache deadline_cache;
   // Every fresh point costs real solver work: the swept Boot Disk becomes
-  // a 32-unit redundant block (127 states) solved by power iteration
-  // alone, a few thousand iterations the request deadline interrupts at
-  // the solver's checkpoints. The baseline MTBF is the first sweep value,
-  // so point 0 reuses the pre-warmed solve.
+  // a 128-unit redundant block (511 states) whose elimination the request
+  // deadline interrupts at its checkpoints. The baseline MTBF is
+  // the first sweep value, so point 0 reuses the pre-warmed solve.
   rascad::spec::ModelSpec deep_spec = spec;
   rascad::spec::BlockSpec& disk =
       *deep_spec.find_block("Entry Server", "Boot Disk");
-  disk.quantity = 32;
+  disk.quantity = 128;
   disk.ar_time_min = 6.0;
   disk.reintegration_min = 8.0;
   disk.mtbf_h = 1e5;
-  rascad::resilience::ResilienceConfig power_only;
-  power_only.rungs = {rascad::resilience::Rung::kPower};
 
   rascad::mg::SystemModel::Options warm_opts;
-  warm_opts.resilience = power_only;
   warm_opts.cache = &deadline_cache;
   warm_opts.parallel.threads = 1;
   // Warm the memo cache so the sweep's baseline build is cheap and every
-  // point costs about one fresh power solve: the prefix length then
+  // point costs about one fresh solve: the prefix length then
   // tracks the deadline instead of the first point swallowing it whole.
   (void)rascad::mg::SystemModel::build(deep_spec, warm_opts);
 
@@ -255,15 +264,10 @@ int main(int argc, char** argv) {
             << (statuses_deadline ? "yes" : "NO") << "\n\n";
 
   // --- 3. cancellation latency (report only) ----------------------------
-  const rascad::markov::Ctmc slow_chain =
-      rascad::resilience::ill_conditioned_chain(300, 1e7);
   std::vector<double> latencies;
   for (int episode = 0; episode < 20; ++episode) {
     const CancelToken token = CancelToken::manual();
     rascad::resilience::ResilienceConfig config;
-    config.rungs = {rascad::resilience::Rung::kPower};
-    config.base.tolerance = 1e-16;
-    config.base.max_iterations = 500'000'000;
     config.base.cancel = token;
     std::thread canceller([&token] {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -271,8 +275,7 @@ int main(int argc, char** argv) {
     });
     bool cancelled = false;
     try {
-      (void)rascad::resilience::solve_steady_state_resilient(slow_chain,
-                                                             config);
+      (void)rascad::resilience::solve_steady_state_resilient(deep, config);
     } catch (const rascad::resilience::SolveError&) {
       cancelled = true;
     }
@@ -307,7 +310,7 @@ int main(int argc, char** argv) {
   rascad::obs::BenchMetricsLine("robust")
       .metric("baseline_solve_ms", baseline_ms)
       .metric("token_solve_ms", token_ms)
-      .metric("solve_iterations", base_solve.result.iterations)
+      .metric("solve_iterations", eliminated)
       .metric("baseline_sweep_ms", sweep_base_ms)
       .metric("token_sweep_ms", sweep_token_ms)
       .metric("ns_per_poll", per_poll_ns)

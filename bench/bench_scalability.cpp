@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
   std::size_t deep_max_states = 0;
   double deep_max_gen_ms = 0.0;
   double deep_max_solve_ms = 0.0;
-  std::size_t sor_iterations = 0;
   std::size_t wide_max_states = 0;
   double wide_max_ms = 0.0;
   std::uint64_t wide_cache_hits = 0;
@@ -83,24 +82,6 @@ int main(int argc, char** argv) {
     deep_max_states = model.chain.size();
     deep_max_gen_ms = gen_ms;
     deep_max_solve_ms = solve_ms;
-  }
-
-  std::cout << "\niterative solver on the largest chain (direct LU above is "
-               "O(n^3)):\n";
-  {
-    const auto model = rascad::mg::generate(deep_block(128, 1), g);
-    rascad::markov::SteadyStateOptions opts;
-    opts.method = rascad::markov::SteadyStateMethod::kSor;
-    opts.tolerance = 1e-13;
-    const auto t0 = Clock::now();
-    const auto r = rascad::markov::solve_steady_state(model.chain, opts);
-    std::cout << "  SOR: " << std::fixed << std::setprecision(3)
-              << ms_since(t0) << " ms, " << r.iterations
-              << " sweeps, residual " << std::scientific << r.residual
-              << '\n';
-    sor_iterations = r.iterations;
-    std::cout.unsetf(std::ios::fixed);
-    std::cout.unsetf(std::ios::scientific);
   }
 
   std::cout << "\nhierarchy width: flat system of W copies of a Type 3 "
@@ -142,8 +123,8 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\nexpected shape: states grow linearly in N-K; generation is\n"
-               "microseconds; the dense direct solve grows cubically, which\n"
-               "is where the iterative path takes over. The width table's\n"
+               "microseconds; the GTH solve grows with the fill of the\n"
+               "eliminated chain, at most cubically. The width table's\n"
                "identical copies collapse to one solve + W-1 memo hits when\n"
                "a solve cache is attached.\n";
 
@@ -152,7 +133,6 @@ int main(int argc, char** argv) {
       .metric("deep_n128_states", deep_max_states)
       .metric("deep_n128_gen_ms", deep_max_gen_ms)
       .metric("deep_n128_solve_ms", deep_max_solve_ms)
-      .metric("sor_n128_iterations", sor_iterations)
       .metric("wide_w100_states", wide_max_states)
       .metric("wide_w100_build_ms", wide_max_ms)
       .metric("wide_w100_cache_hits", wide_cache_hits)

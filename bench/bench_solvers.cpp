@@ -1,10 +1,14 @@
 // E10 — numerical-method ablation ("solved using numerical methods",
-// Section 1): google-benchmark timings of the four steady-state solvers on
-// generated chains of growing size, plus uniformization cost vs horizon.
-// Accuracy agreement across methods is asserted by the test suite; this
-// binary measures cost.
+// Section 1): google-benchmark timings of the GTH steady-state solver
+// against dense LU on the replaced-row system (the textbook direct method,
+// kept here as the comparison) on generated chains of growing size, plus
+// uniformization cost vs horizon. Accuracy against closed forms is
+// asserted by the test suite; this binary measures cost.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
+#include "linalg/lu.hpp"
 #include "markov/ode.hpp"
 #include "markov/steady_state.hpp"
 #include "markov/transient.hpp"
@@ -35,18 +39,6 @@ rascad::mg::GeneratedModel chain_of_depth(unsigned n) {
   return rascad::mg::generate(b, g);
 }
 
-void solve_with(benchmark::State& state,
-                rascad::markov::SteadyStateMethod method) {
-  const auto model = chain_of_depth(static_cast<unsigned>(state.range(0)));
-  rascad::markov::SteadyStateOptions opts;
-  opts.method = method;
-  opts.tolerance = 1e-12;
-  for (auto _ : state) {
-    auto result = rascad::markov::solve_steady_state(model.chain, opts);
-    benchmark::DoNotOptimize(result.pi.data());
-  }
-  state.counters["states"] = static_cast<double>(model.chain.size());
-}
 
 void BM_Generate(benchmark::State& state) {
   rascad::spec::GlobalParams g;
@@ -67,22 +59,34 @@ void BM_Generate(benchmark::State& state) {
 }
 BENCHMARK(BM_Generate)->Arg(2)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_SolveDirect(benchmark::State& state) {
-  solve_with(state, rascad::markov::SteadyStateMethod::kDirect);
+void BM_SolveGth(benchmark::State& state) {
+  const auto model = chain_of_depth(static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    auto result = rascad::markov::solve_steady_state(model.chain);
+    benchmark::DoNotOptimize(result.pi.data());
+  }
+  state.counters["states"] = static_cast<double>(model.chain.size());
 }
-void BM_SolveSor(benchmark::State& state) {
-  solve_with(state, rascad::markov::SteadyStateMethod::kSor);
+BENCHMARK(BM_SolveGth)->Arg(2)->Arg(16)->Arg(64)->Arg(128);
+
+/// The textbook direct method, for comparison: Q^T pi = 0 with its last
+/// equation replaced by sum(pi) = 1 (the other n - 1 rows are Q^T's own),
+/// densified and solved by partial-pivoting LU.
+void BM_SolveLuReplacedRow(benchmark::State& state) {
+  const auto model = chain_of_depth(static_cast<unsigned>(state.range(0)));
+  const std::size_t n = model.chain.size();
+  rascad::linalg::Vector b(n, 0.0);
+  b[n - 1] = 1.0;
+  for (auto _ : state) {
+    rascad::linalg::DenseMatrix a =
+        model.chain.generator().transposed().to_dense();
+    for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
+    auto pi = rascad::linalg::lu_solve(std::move(a), b);
+    benchmark::DoNotOptimize(pi.data());
+  }
+  state.counters["states"] = static_cast<double>(n);
 }
-void BM_SolvePower(benchmark::State& state) {
-  solve_with(state, rascad::markov::SteadyStateMethod::kPower);
-}
-void BM_SolveBiCgStab(benchmark::State& state) {
-  solve_with(state, rascad::markov::SteadyStateMethod::kBiCgStab);
-}
-BENCHMARK(BM_SolveDirect)->Arg(2)->Arg(16)->Arg(64)->Arg(128);
-BENCHMARK(BM_SolveSor)->Arg(2)->Arg(16)->Arg(64)->Arg(128);
-BENCHMARK(BM_SolvePower)->Arg(2)->Arg(16)->Arg(64)->Arg(128);
-BENCHMARK(BM_SolveBiCgStab)->Arg(2)->Arg(16)->Arg(64)->Arg(128);
+BENCHMARK(BM_SolveLuReplacedRow)->Arg(2)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_Uniformization(benchmark::State& state) {
   const auto model = chain_of_depth(4);

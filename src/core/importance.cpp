@@ -111,15 +111,15 @@ std::vector<ParameterSensitivity> parameter_sensitivity(
   // Perturbed probes go through the same memoized block solver the system
   // build used: symmetric perturbations shared across blocks (and repeat
   // sensitivity runs) hit the memo table instead of re-solving, and every
-  // probe is solved by the identical resilience ladder, so elasticities
+  // probe is solved by the identical resilience layer, so elasticities
   // are bit-identical with and without the cache.
   const mg::SystemModel::Options& mopts = system.options();
   // The loop token fans into the probe solves too, so a cancelled
-  // sensitivity run stops inside the ladder instead of finishing a doomed
+  // sensitivity run stops inside the solve instead of finishing a doomed
   // probe. Tokens are not part of the solver signature, so memo keys (and
   // the numbers) are unchanged.
   const resilience::ResilienceConfig probe_config =
-      resilience::resolve_config(mopts.resilience, mopts.steady, par.cancel);
+      resilience::config_from(mopts.steady, par.cancel);
   const cache::Signature probe_solver_sig = mg::solver_signature(probe_config);
   const auto block_availability = [&](const std::string& diagram,
                                       const spec::BlockSpec& block) {

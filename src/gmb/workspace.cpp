@@ -59,7 +59,7 @@ double Workspace::availability(const std::string& name) const {
   if (cached != availability_cache_.end()) return cached->second;
   const ModelEntry& e = entry(name);
   const resilience::ResilienceConfig config =
-      resilience::resolve_config(resilience_config, steady_options);
+      resilience::config_from(steady_options);
   double a = 1.0;
   if (const auto* m = std::get_if<MarkovEntry>(&e)) {
     resilience::ResilientResult solved =
@@ -100,7 +100,7 @@ double Workspace::mttf_h(const std::string& name) const {
   }
   if (m->chain.down_states().empty()) return 0.0;
   const resilience::ResilienceConfig config =
-      resilience::resolve_config(resilience_config, steady_options);
+      resilience::config_from(steady_options);
   return resilience::mttf_resilient(m->chain, m->initial, config);
 }
 

@@ -2,7 +2,7 @@
 // numerical core.
 //
 // Generated Markov chains are sparse (a handful of outgoing arcs per
-// state), so the iterative steady-state solvers and the uniformization
+// state), so generators, the residual checks and the uniformization
 // transient solver operate on CSR. Storage is structure-of-arrays: three
 // flat arrays (row pointers, column indices, values) with 32-bit indices.
 // Matrices are assembled through CsrBuilder, which stages triplets and

@@ -170,15 +170,4 @@ void normalize_sum(Vector& v) {
   scale(v, 1.0 / s);
 }
 
-double max_abs_diff(const Vector& a, const Vector& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("max_abs_diff: size mismatch");
-  }
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    m = std::max(m, std::abs(a[i] - b[i]));
-  }
-  return m;
-}
-
 }  // namespace rascad::linalg

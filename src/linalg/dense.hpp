@@ -2,8 +2,8 @@
 //
 // The matrices arising from generated availability models are small-to-medium
 // (tens to a few thousand states), so a cache-friendly row-major dense matrix
-// plus LU factorization covers the direct-solve path; the CSR type in
-// csr.hpp covers the iterative/transient path for larger chains.
+// plus LU factorization covers the absorption solves; the CSR type in
+// csr.hpp covers generators and the transient path.
 #pragma once
 
 #include <cstddef>
@@ -106,8 +106,5 @@ void scale(Vector& v, double alpha) noexcept;
 /// Normalize v so its entries sum to one. Throws std::domain_error if the
 /// sum is not strictly positive.
 void normalize_sum(Vector& v);
-
-/// max_i |a_i - b_i|. Throws std::invalid_argument on size mismatch.
-double max_abs_diff(const Vector& a, const Vector& b);
 
 }  // namespace rascad::linalg

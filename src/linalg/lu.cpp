@@ -78,45 +78,10 @@ Vector LuFactorization::solve(const Vector& b) const {
   return x;
 }
 
-Vector LuFactorization::solve_transpose(const Vector& b) const {
-  const std::size_t n = size();
-  if (b.size() != n) {
-    throw std::invalid_argument(
-        "LuFactorization::solve_transpose: size mismatch");
-  }
-  // A^T = U^T L^T P, so solve U^T y = b, L^T w = y, then undo the permutation.
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(j, i) * y[j];
-    y[i] = acc / lu_(i, i);
-  }
-  Vector w(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(j, ii) * w[j];
-    w[ii] = acc;  // L has unit diagonal
-  }
-  Vector x(n);
-  for (std::size_t i = 0; i < n; ++i) x[perm_[i]] = w[i];
-  return x;
-}
-
 double LuFactorization::determinant() const noexcept {
   double det = (swaps_ % 2 == 0) ? 1.0 : -1.0;
   for (std::size_t i = 0; i < size(); ++i) det *= lu_(i, i);
   return det;
-}
-
-std::pair<double, double> LuFactorization::pivot_extremes() const noexcept {
-  double lo = 0.0;
-  double hi = 0.0;
-  for (std::size_t i = 0; i < size(); ++i) {
-    const double mag = std::abs(lu_(i, i));
-    if (i == 0 || mag < lo) lo = mag;
-    if (mag > hi) hi = mag;
-  }
-  return {lo, hi};
 }
 
 Vector lu_solve(DenseMatrix a, const Vector& b) {

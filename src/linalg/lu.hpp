@@ -1,9 +1,8 @@
 // LU factorization with partial pivoting — the direct linear solver behind
-// steady-state and MTTF analysis of generated Markov chains.
+// the absorption analyses (mean times and probabilities of absorption).
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "linalg/dense.hpp"
@@ -25,18 +24,11 @@ class LuFactorization {
   /// Solves A x = b. Throws std::invalid_argument on size mismatch.
   Vector solve(const Vector& b) const;
 
-  /// Solves A^T x = b (forward/backward sweep on the same factors).
-  Vector solve_transpose(const Vector& b) const;
-
   /// det(A), computed from the pivots (sign-adjusted for row swaps).
   double determinant() const noexcept;
 
   /// Number of row exchanges performed during factorization.
   std::size_t swap_count() const noexcept { return swaps_; }
-
-  /// (min, max) of |U(k,k)| over the pivots. Their ratio is a free O(n)
-  /// lower-bound proxy for the condition number of A.
-  std::pair<double, double> pivot_extremes() const noexcept;
 
  private:
   DenseMatrix lu_;               // L (unit lower, below diag) and U (upper)

@@ -1,12 +1,10 @@
 #include "markov/dtmc.hpp"
 
-#include "resilience/solve_error.hpp"
-
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/iterative.hpp"
 #include "linalg/lu.hpp"
+#include "markov/steady_state.hpp"
 
 namespace rascad::markov {
 
@@ -62,33 +60,7 @@ std::optional<std::size_t> Dtmc::find_state(const std::string& name) const {
   return std::nullopt;
 }
 
-linalg::Vector Dtmc::stationary(bool direct) const {
-  const std::size_t n = size();
-  if (n == 1) return {1.0};
-  if (direct) {
-    // pi (P - I) = 0 with a replaced normalization row, like the CTMC case.
-    linalg::DenseMatrix a = p_.transposed().to_dense();
-    for (std::size_t i = 0; i < n; ++i) a(i, i) -= 1.0;
-    for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
-    linalg::Vector b(n, 0.0);
-    b[n - 1] = 1.0;
-    linalg::Vector pi = linalg::lu_solve(std::move(a), b);
-    for (double& x : pi) {
-      if (x < 0.0 && x > -1e-12) x = 0.0;
-    }
-    linalg::normalize_sum(pi);
-    return pi;
-  }
-  linalg::IterativeOptions opts;
-  const linalg::IterativeResult r = linalg::power_stationary(p_, opts);
-  if (!r.converged) {
-    throw resilience::SolveError(resilience::SolveCause::kNonConverged,
-                                 "Dtmc::stationary",
-                                 "power iteration diverged", r.iterations,
-                                 r.residual);
-  }
-  return r.solution;
-}
+linalg::Vector Dtmc::stationary() const { return gth_stationary(p_); }
 
 bool Dtmc::is_absorbing(std::size_t i) const {
   if (i >= size()) {

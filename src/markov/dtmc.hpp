@@ -45,12 +45,10 @@ class Dtmc {
   const std::string& state_name(std::size_t i) const { return names_.at(i); }
   std::optional<std::size_t> find_state(const std::string& name) const;
 
-  /// Stationary distribution pi = pi P.
-  /// `direct` solves the replaced-row linear system (exact); otherwise
-  /// power iteration is used. Throws resilience::SolveError on
-  /// reducible/periodic non-convergence (kNonConverged) or a singular
-  /// replaced-row system (kSingular).
-  linalg::Vector stationary(bool direct = true) const;
+  /// Stationary distribution pi = pi P by GTH elimination
+  /// (markov::gth_stationary; self-loops are ignored). Throws
+  /// resilience::SolveError(kInvalidInput) on a reducible chain.
+  linalg::Vector stationary() const;
 
   /// n-step distribution from `start`.
   linalg::Vector evolve(const linalg::Vector& start, std::size_t steps) const;

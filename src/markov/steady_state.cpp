@@ -1,10 +1,11 @@
 #include "markov/steady_state.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+#include <string>
 
-#include "linalg/iterative.hpp"
-#include "linalg/lu.hpp"
 #include "resilience/solve_error.hpp"
 
 namespace rascad::markov {
@@ -12,178 +13,77 @@ namespace rascad::markov {
 using resilience::SolveCause;
 using resilience::SolveError;
 
-namespace {
-
-/// Residual ||pi Q||_inf, a direct measure of stationarity.
-double stationarity_residual(const Ctmc& chain, const linalg::Vector& pi) {
-  const linalg::Vector r = chain.generator().mul_transpose(pi);
-  return linalg::norm_inf(r);
-}
-
-/// Per-iteration cooperative checkpoint for the solver loops owned by this
-/// translation unit (the linalg-backed methods get theirs via
-/// IterativeOptions). Throw-only: uncancelled runs stay bitwise identical.
-inline void checkpoint(const SteadyStateOptions& opts, std::size_t it,
-                       const char* who) {
-  if (!opts.cancel.valid()) return;
-  if (it != 1 && it % robust::kCheckInterval != 0) return;
-  robust::throw_if_stopped(opts.cancel, who, it - 1);
-}
-
-linalg::IterativeOptions iterative_options_from(
-    const SteadyStateOptions& opts) {
-  linalg::IterativeOptions iopts;
-  iopts.tolerance = opts.tolerance;
-  iopts.max_iterations = opts.max_iterations;
-  iopts.cancel = opts.cancel;
-  return iopts;
-}
-
-SteadyStateResult solve_direct(const Ctmc& chain) {
-  const std::size_t n = chain.size();
-  // pi Q = 0  <=>  Q^T pi^T = 0; replace the last equation with the
-  // normalization sum(pi) = 1 to obtain a nonsingular system.
-  linalg::DenseMatrix a = chain.generator().transposed().to_dense();
-  for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
-  linalg::Vector b(n, 0.0);
-  b[n - 1] = 1.0;
-  SteadyStateResult result;
-  result.pi = linalg::lu_solve(std::move(a), b);
-  // Clamp the tiny negative round-off values that can appear for states
-  // with probability near machine epsilon.
-  for (double& x : result.pi) {
-    if (x < 0.0 && x > -1e-12) x = 0.0;
+linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
+                              const robust::CancelToken& cancel) {
+  const std::size_t n = weights.rows();
+  if (n == 0) {
+    throw SolveError(SolveCause::kInvalidInput, "gth_stationary",
+                     "empty chain");
   }
-  linalg::normalize_sum(result.pi);
-  result.residual = stationarity_residual(chain, result.pi);
-  return result;
-}
-
-SteadyStateResult solve_sor(const Ctmc& chain, const SteadyStateOptions& opts) {
-  // Gauss-Seidel on the fixed point pi_i = sum_{j != i} pi_j q_ji / (-q_ii),
-  // renormalizing each sweep. Requires every state to have an exit rate.
-  const std::size_t n = chain.size();
-  const linalg::CsrMatrix qt = chain.generator().transposed();
-  linalg::Vector diag(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    diag[i] = chain.exit_rate(i);
-    if (!(diag[i] > 0.0)) {
-      throw SolveError(SolveCause::kInvalidInput, "solve_steady_state(SOR)",
-                       "absorbing state in chain");
-    }
-  }
-  linalg::Vector pi(n, 1.0 / static_cast<double>(n));
-  SteadyStateResult result;
-  for (std::size_t it = 1; it <= opts.max_iterations; ++it) {
-    checkpoint(opts, it, "solve_steady_state(SOR)");
-    double change = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double inflow = 0.0;
-      const auto row = qt.row(i);  // row i of Q^T: arcs j -> i
-      for (std::size_t k = 0; k < row.size; ++k) {
-        if (row.cols[k] != i) inflow += row.values[k] * pi[row.cols[k]];
-      }
-      const double gs = inflow / diag[i];
-      const double updated = pi[i] + opts.relaxation * (gs - pi[i]);
-      change = std::max(change, std::abs(updated - pi[i]));
-      pi[i] = updated;
-    }
-    linalg::normalize_sum(pi);
-    result.iterations = it;
-    if (change < opts.tolerance) break;
-  }
-  result.pi = std::move(pi);
-  result.residual = stationarity_residual(chain, result.pi);
-  if (result.iterations >= opts.max_iterations &&
-      result.residual > 1e3 * opts.tolerance) {
-    throw SolveError(SolveCause::kNonConverged, "solve_steady_state(SOR)",
-                     "did not converge", result.iterations, result.residual);
-  }
-  return result;
-}
-
-SteadyStateResult solve_power(const Ctmc& chain,
-                              const SteadyStateOptions& opts) {
-  const auto [p, q] = chain.uniformized();
-  (void)q;
-  const linalg::IterativeResult r =
-      linalg::power_stationary(p, iterative_options_from(opts));
-  if (!r.converged) {
-    throw SolveError(SolveCause::kNonConverged, "solve_steady_state(power)",
-                     "did not converge", r.iterations, r.residual);
-  }
-  SteadyStateResult result;
-  result.pi = r.solution;
-  result.iterations = r.iterations;
-  result.residual = stationarity_residual(chain, result.pi);
-  return result;
-}
-
-SteadyStateResult solve_bicgstab(const Ctmc& chain,
-                                 const SteadyStateOptions& opts) {
-  const std::size_t n = chain.size();
-  // Same replaced-row formulation as the direct method, in sparse form,
-  // with Jacobi (diagonal) row scaling: generated chains mix rates that
-  // span many orders of magnitude (failures per 1e5 h vs reboots per
-  // 0.1 h), and unpreconditioned BiCGSTAB stalls on that spread.
-  const linalg::CsrMatrix qt = chain.generator().transposed();
-  linalg::CsrBuilder ab(n, n);
-  for (std::size_t r = 0; r < n - 1; ++r) {
-    const auto row = qt.row(r);
-    double diag = 0.0;
+  // Dense row-major working copy of the off-diagonal weights, zeroed and
+  // filled one row per checkpoint: first-touching an n^2 buffer costs
+  // milliseconds at n ~ 900, too long to leave without a poll.
+  const auto w_storage = std::make_unique_for_overwrite<double[]>(n * n);
+  const auto w = [&](std::size_t i, std::size_t j) -> double& {
+    return w_storage[i * n + j];
+  };
+  for (std::size_t r = 0; r < n; ++r) {
+    robust::throw_if_stopped(cancel, "gth_stationary");
+    std::fill_n(&w(r, 0), n, 0.0);
+    const auto row = weights.row(r);
     for (std::size_t k = 0; k < row.size; ++k) {
-      if (row.cols[k] == r) diag = row.values[k];
-    }
-    if (diag == 0.0) {
-      throw SolveError(SolveCause::kInvalidInput,
-                       "solve_steady_state(bicgstab)",
-                       "absorbing state in chain");
-    }
-    for (std::size_t k = 0; k < row.size; ++k) {
-      ab.add(r, row.cols[k], row.values[k] / diag);
+      if (row.cols[k] != r) w(r, row.cols[k]) = row.values[k];
     }
   }
-  for (std::size_t c = 0; c < n; ++c) ab.add(n - 1, c, 1.0);
-  linalg::Vector b(n, 0.0);
-  b[n - 1] = 1.0;
-  const linalg::IterativeResult r =
-      linalg::bicgstab_solve(ab.build(), b, iterative_options_from(opts));
-  if (!r.converged) {
-    throw SolveError(SolveCause::kNonConverged,
-                     "solve_steady_state(bicgstab)", "did not converge",
-                     r.iterations, r.residual);
-  }
-  SteadyStateResult result;
-  result.pi = r.solution;
-  for (double& x : result.pi) {
-    if (x < 0.0 && x > -1e-10) x = 0.0;
-  }
-  linalg::normalize_sum(result.pi);
-  result.iterations = r.iterations;
-  result.residual = stationarity_residual(chain, result.pi);
-  return result;
-}
 
-}  // namespace
+  // Forward elimination of states n-1 .. 1 (state 0 is kept). Eliminating
+  // state m censors the chain to the surviving states: the new weight from
+  // i to j is w(i, j) + w(i, m) * w(m, j) / out(m), where out(m) is m's
+  // total outflow to the survivors. The division is folded into column m
+  // (w(i, m) /= out) so the back-substitution identity
+  //   pi(m) = sum_{i < m} pi(i) * w(i, m)
+  // holds directly. Only sums of non-negative terms occur. The diagonal is
+  // never read, so the update may write w(i, i) freely.
+  for (std::size_t m = n - 1; m >= 1; --m) {
+    robust::throw_if_stopped(cancel, "gth_stationary", n - 1 - m);
+    double out = 0.0;
+    for (std::size_t j = 0; j < m; ++j) out += w(m, j);
+    if (!(out > 0.0) || !std::isfinite(out)) {
+      throw SolveError(
+          SolveCause::kInvalidInput, "gth_stationary",
+          "state " + std::to_string(m) +
+              " has no outflow to surviving states (reducible chain)",
+          n - 1 - m);
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      if (w(i, m) == 0.0) continue;
+      const double into_m = w(i, m) /= out;
+      for (std::size_t j = 0; j < m; ++j) w(i, j) += into_m * w(m, j);
+    }
+  }
+
+  // Back-substitution: unnormalized pi[0] = 1, each later state's mass is
+  // the inflow-weighted sum over already-computed states.
+  linalg::Vector pi(n, 0.0);
+  pi[0] = 1.0;
+  double total = 1.0;
+  for (std::size_t m = 1; m < n; ++m) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < m; ++i) acc += pi[i] * w(i, m);
+    pi[m] = acc;
+    total += acc;
+  }
+  for (double& x : pi) x /= total;
+  return pi;
+}
 
 SteadyStateResult solve_steady_state(const Ctmc& chain,
                                      const SteadyStateOptions& opts) {
-  if (chain.size() == 1) {
-    SteadyStateResult r;
-    r.pi = {1.0};
-    return r;
-  }
-  switch (opts.method) {
-    case SteadyStateMethod::kDirect:
-      return solve_direct(chain);
-    case SteadyStateMethod::kSor:
-      return solve_sor(chain, opts);
-    case SteadyStateMethod::kPower:
-      return solve_power(chain, opts);
-    case SteadyStateMethod::kBiCgStab:
-      return solve_bicgstab(chain, opts);
-  }
-  throw std::logic_error("solve_steady_state: unknown method");
+  SteadyStateResult result;
+  result.pi = gth_stationary(chain.generator(), opts.cancel);
+  result.residual =
+      linalg::norm_inf(chain.generator().mul_transpose(result.pi));
+  return result;
 }
 
 double expected_reward(const Ctmc& chain, const linalg::Vector& pi) {

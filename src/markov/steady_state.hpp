@@ -1,63 +1,57 @@
 // Steady-state solution of CTMCs: pi Q = 0, sum(pi) = 1.
 //
-// Four methods are provided; Direct (dense LU on the normalized system) is
-// the default for generated availability chains, the iterative methods are
-// the large-chain path and the subject of the solver-ablation bench (E10).
+// One algorithm serves every stationary solve in the stack: Grassmann-
+// Taksar-Heyman (GTH) elimination. It computes the stationary vector by a
+// state-elimination recurrence that only adds, multiplies and divides
+// non-negative quantities; with no subtractions there is no catastrophic
+// cancellation, so the result is componentwise accurate even when the
+// chain's rates and stationary masses span many orders of magnitude, as
+// they do in generated availability chains (O'Cinneide 1993). The cost is
+// a dense elimination whose inner loop skips the zero entries of the
+// eliminated column.
 #pragma once
 
-#include <cstddef>
-
+#include "linalg/csr.hpp"
 #include "linalg/dense.hpp"
 #include "markov/ctmc.hpp"
 #include "robust/cancel.hpp"
 
 namespace rascad::markov {
 
-enum class SteadyStateMethod {
-  kDirect,    // dense LU on Q^T with a replaced normalization row
-  kSor,       // Gauss-Seidel/SOR sweeps on pi Q = 0 with renormalization
-  kPower,     // power iteration on the uniformized DTMC
-  kBiCgStab,  // Krylov solve of the replaced-row system
-};
-
 struct SteadyStateOptions {
-  SteadyStateMethod method = SteadyStateMethod::kDirect;
+  /// Scale of the accepted stationarity residual: the resilience layer's
+  /// independent check accepts ||pi Q||_inf up to
+  /// residual_factor * tolerance * max(1, max exit rate).
   double tolerance = 1e-13;
-  std::size_t max_iterations = 500'000;
-  double relaxation = 1.0;  // SOR omega
-  /// Cooperative stop, forwarded into every iterative loop (checked every
-  /// robust::kCheckInterval iterations; see linalg::IterativeOptions). A
-  /// stopped token raises SolveError(kCancelled / kDeadlineExceeded); an
-  /// uncancelled run is bitwise identical to one without a token. The
-  /// direct method has no loop and completes regardless.
+  /// Cooperative stop, polled once per row copied into the elimination's
+  /// dense workspace and once per eliminated state. A stopped token
+  /// raises SolveError(kCancelled / kDeadlineExceeded); an uncancelled run
+  /// is bitwise identical to one without a token.
   robust::CancelToken cancel;
 };
 
 struct SteadyStateResult {
   linalg::Vector pi;
-  std::size_t iterations = 0;  // 0 for the direct method
-  double residual = 0.0;       // infinity norm of pi Q
+  double residual = 0.0;  // infinity norm of pi Q
 };
 
-/// Computes the stationary distribution. The chain must be irreducible
-/// (availability chains from the generator always are). Failures raise
-/// resilience::SolveError (is-a std::runtime_error) with a cause code,
-/// per method:
-///
-///   kDirect    kSingular       singular replaced-row system (reducible /
-///                              numerically degenerate chain); thrown by
-///                              the underlying LU factorization
-///   kSor       kInvalidInput   absorbing state (no exit rate)
-///              kNonConverged   iteration budget exhausted
-///   kPower     kNonConverged   iteration budget exhausted
-///   kBiCgStab  kInvalidInput   absorbing state (zero diagonal)
-///              kNonConverged   iteration budget exhausted or breakdown
-///
-/// (Before the taxonomy these were bare std::domain_error for the
-/// structural cases and std::runtime_error for non-convergence; SolveError
-/// keeps catch-compatibility with the latter.) Callers who want automatic
-/// escalation instead of an exception should use
-/// resilience::solve_steady_state_resilient.
+/// Stationary distribution of the irreducible chain whose transition
+/// weights are the off-diagonal entries of `weights` (generator rates or
+/// transition probabilities; the diagonal is ignored, so a DTMC's P and its
+/// generator P - I give the same answer). `cancel` is polled before each of
+/// the n rows is copied into the dense workspace and before each of the
+/// n - 1 elimination steps; a stop throws SolveError(kCancelled /
+/// kDeadlineExceeded) carrying the number of states eliminated so far.
+/// Throws SolveError(kInvalidInput) on an empty matrix or when a state has
+/// no outflow to the states not yet eliminated (a reducible chain, which
+/// has no unique stationary distribution).
+linalg::Vector gth_stationary(const linalg::CsrMatrix& weights,
+                              const robust::CancelToken& cancel = {});
+
+/// Stationary distribution of an irreducible chain by gth_stationary on its
+/// generator, plus the residual ||pi Q||_inf. Throws SolveError as
+/// gth_stationary does; resilience::solve_steady_state_resilient adds the
+/// state budget, the independent health check and the SolveTrace.
 SteadyStateResult solve_steady_state(const Ctmc& chain,
                                      const SteadyStateOptions& opts = {});
 

@@ -19,7 +19,7 @@ BlockMeasures compute_measures(const GeneratedModel& model,
   BlockMeasures m;
   const markov::Ctmc& chain = model.chain;
   const resilience::ResilienceConfig config =
-      resilience::resolve_config(opts.resilience, opts.steady);
+      resilience::config_from(opts.steady);
   resilience::ResilientResult solved =
       resilience::solve_steady_state_resilient(chain, config);
   m.solve_trace = std::move(solved.trace);

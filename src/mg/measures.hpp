@@ -4,8 +4,6 @@
 // hazard rate over a time increment).
 #pragma once
 
-#include <optional>
-
 #include "markov/steady_state.hpp"
 #include "mg/generator.hpp"
 #include "resilience/resilience.hpp"
@@ -21,9 +19,6 @@ struct MeasureOptions {
   bool include_transient = true;  // interval availability at mission time
   bool include_reliability = true;  // MTTF, R(T), hazard
   double hazard_dt_h = 1.0;         // increment for the hazard estimate
-  /// Resilience-ladder override. When unset, a config derived from
-  /// `steady` is used (requested method first, remaining rungs appended).
-  std::optional<resilience::ResilienceConfig> resilience;
 };
 
 struct BlockMeasures {
@@ -45,14 +40,14 @@ struct BlockMeasures {
   double interval_failure_rate = 0.0;  // -ln R(T) / T
   double hazard_rate_at_mission = 0.0;
 
-  /// Which steady-state ladder rung produced the numbers and why earlier
-  /// rungs (if any) were rejected.
+  /// The steady-state solve episode that produced the numbers.
   resilience::SolveTrace solve_trace;
 };
 
-/// Solves the chain through the resilience ladder and assembles the
-/// measure set. Throws resilience::SolveError only when every ladder rung
-/// fails (structurally unusable chain or exhausted budget).
+/// Solves the chain through the resilience layer and assembles the
+/// measure set. Throws resilience::SolveError when a solve fails
+/// (structurally unusable chain, failed health check, exhausted budget or
+/// stopped token).
 BlockMeasures compute_measures(const GeneratedModel& model,
                                const spec::GlobalParams& globals,
                                const MeasureOptions& opts = {});

@@ -201,26 +201,12 @@ rbd::RbdNodePtr curve_tree(const SystemModel& sm, std::uint64_t kind,
 
 cache::Signature solver_signature(const resilience::ResilienceConfig& config) {
   cache::Signature s;
-  s.append_word(config.rungs.size());
-  for (resilience::Rung r : config.rungs) {
-    s.append_word(static_cast<std::uint64_t>(r));
-  }
-  s.append_word(static_cast<std::uint64_t>(config.base.method));
   s.append_double(config.base.tolerance);
-  s.append_word(config.base.max_iterations);
-  s.append_double(config.base.relaxation);
   s.append_word(config.max_states);
   // The stop token is deliberately NOT keyed: it never changes the
   // accepted numbers, only whether the episode is allowed to finish.
   s.append_double(config.health.clamp_tolerance);
   s.append_double(config.health.residual_factor);
-  s.append_double(config.health.max_condition);
-  // Injected faults change results by design; keying on the plan keeps
-  // fault-injection runs from contaminating (or consuming) healthy entries.
-  for (const auto& [rung, kind] : config.fault_plan.faults) {
-    s.append_word(static_cast<std::uint64_t>(rung));
-    s.append_word(static_cast<std::uint64_t>(kind));
-  }
   return s;
 }
 
@@ -303,8 +289,8 @@ SystemModel SystemModel::build(spec::ModelSpec model, const Options& opts) {
   sm.spec_ = std::move(model);
   sm.opts_ = opts;
 
-  const resilience::ResilienceConfig solve_config = resilience::resolve_config(
-      opts.resilience, opts.steady, opts.parallel.cancel);
+  const resilience::ResilienceConfig solve_config =
+      resilience::config_from(opts.steady, opts.parallel.cancel);
   sm.solver_sig_ = solver_signature(solve_config);
 
   // Generate and solve every block chain in parallel. Entries are written
@@ -336,8 +322,8 @@ SystemModel SystemModel::rebuild(const SystemModel& base,
                                  const Options& opts) {
   obs::Span rebuild_span("system.rebuild");
   spec::validate_or_throw(changed);
-  const resilience::ResilienceConfig solve_config = resilience::resolve_config(
-      opts.resilience, opts.steady, opts.parallel.cancel);
+  const resilience::ResilienceConfig solve_config =
+      resilience::config_from(opts.steady, opts.parallel.cancel);
   cache::Signature solver_sig = solver_signature(solve_config);
 
   SystemModel sm;

@@ -11,8 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include <optional>
-
 #include "cache/signature.hpp"
 #include "cache/solve_cache.hpp"
 #include "exec/parallel.hpp"
@@ -35,9 +33,6 @@ class SystemModel {
     /// reliability): per-block reward curves are sampled on this many
     /// segments over the queried horizon, then composed through the RBD.
     std::size_t curve_steps = 256;
-    /// Resilience-ladder override for the per-block steady-state solves.
-    /// When unset, a config derived from `steady` is used.
-    std::optional<resilience::ResilienceConfig> resilience;
     /// Thread-count / chunking control for the per-block solves and curve
     /// sampling. Block order, measures, and every SolveTrace are
     /// bit-identical for any thread count.
@@ -59,7 +54,7 @@ class SystemModel {
     double availability = 1.0;
     double yearly_downtime_min = 0.0;
     double eq_failure_rate = 0.0;
-    /// Ladder episode that produced this block's stationary solution; its
+    /// Solve episode that produced this block's stationary solution; its
     /// `source` records whether the numbers came from a fresh solve, the
     /// memo cache, or baseline reuse during an incremental rebuild.
     resilience::SolveTrace solve_trace;
@@ -151,7 +146,7 @@ class SystemModel {
 /// depend bit-exactly on the solver settings.
 cache::Signature solver_signature(const resilience::ResilienceConfig& config);
 
-/// Generates and solves one block through the resilience ladder,
+/// Generates and solves one block through the resilience layer,
 /// consulting `cache` (may be null). The shared primitive behind
 /// SystemModel::build / rebuild and the memoized sensitivity probes.
 SystemModel::BlockEntry solve_block_cached(

@@ -3,7 +3,7 @@
 //
 // Design constraints, in order:
 //   1. Updates must be cheap enough for solver hot paths (cache lookups,
-//      ladder attempts, pool chunks). Counters are sharded over
+//      solve attempts, pool chunks). Counters are sharded over
 //      cache-line-padded cells indexed by a per-thread slot, so concurrent
 //      increments from pool workers do not bounce one line around.
 //   2. Metric objects are created once and never destroyed, so hot paths

@@ -6,7 +6,7 @@
 // falls out of scoping — a block solve running inside a system build
 // records the build span as its parent, and the flushed records
 // reconstruct the full tree (spec parse -> model generation -> per-block
-// solve -> ladder attempt -> cache lookup).
+// solve -> solve episode -> cache lookup).
 //
 // Cross-thread edges: work dispatched to pool workers is not lexically
 // nested in the submitting scope, so exec::parallel_for captures the
@@ -53,7 +53,7 @@ struct SpanRecord {
   std::uint64_t seq = 0;
 };
 
-/// Out-of-band occurrence (ladder attempt failed, health check tripped):
+/// Out-of-band occurrence (solve attempt failed, health check tripped):
 /// a kind, key/value fields, and the span it happened under.
 struct EventRecord {
   const char* kind = "";

@@ -1,43 +1,8 @@
 #include "resilience/fault_injection.hpp"
 
-#include <limits>
 #include <string>
 
 namespace rascad::resilience {
-
-void corrupt_result(linalg::Vector& pi, FaultKind kind) {
-  if (pi.empty()) return;
-  switch (kind) {
-    case FaultKind::kNanResult:
-      pi[pi.size() / 2] = std::numeric_limits<double>::quiet_NaN();
-      break;
-    case FaultKind::kNegativeResult:
-      pi[pi.size() / 2] -= 0.5;  // far beyond any clamp tolerance
-      break;
-    case FaultKind::kNone:
-    case FaultKind::kThrowSingular:
-    case FaultKind::kThrowNonConverged:
-      break;
-  }
-}
-
-void apply_fault(const FaultPlan& plan, Rung rung, linalg::Vector& pi) {
-  const FaultKind kind = plan.fault_for(rung);
-  switch (kind) {
-    case FaultKind::kNone:
-      return;
-    case FaultKind::kThrowSingular:
-      throw SolveError(SolveCause::kSingular, to_string(rung),
-                       "injected singular-system failure");
-    case FaultKind::kThrowNonConverged:
-      throw SolveError(SolveCause::kNonConverged, to_string(rung),
-                       "injected convergence failure");
-    case FaultKind::kNanResult:
-    case FaultKind::kNegativeResult:
-      corrupt_result(pi, kind);
-      return;
-  }
-}
 
 markov::Ctmc with_scaled_rates(const markov::Ctmc& chain, double factor) {
   if (!(factor > 0.0)) {
@@ -93,10 +58,7 @@ markov::Ctmc ill_conditioned_chain(std::size_t pairs, double spread) {
   // Birth-death chain with alternating stiffness direction: even links push
   // forward at rate `spread` against a rate-1 return, odd links the
   // reverse. Detailed balance makes the stationary masses oscillate across
-  // a dynamic range of `spread`, the uniformization constant is ~spread
-  // while the slowest transitions have rate 1 (so power iteration needs
-  // O(spread) steps), and the replaced-row direct system's conditioning
-  // degrades with `spread`.
+  // a dynamic range of `spread`.
   for (std::size_t i = 0; i + 1 < n; ++i) {
     if (i % 2 == 0) {
       builder.add_transition(i, i + 1, spread);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 namespace rascad::resilience {
@@ -84,56 +83,6 @@ HealthReport check_stationary(const markov::Ctmc& chain, linalg::Vector& pi,
     return report;
   }
   return report;
-}
-
-double dense_norm_1(const linalg::DenseMatrix& a) {
-  // Row-major traversal with per-column accumulators (a column-by-column
-  // walk strides the whole matrix and thrashes the cache).
-  std::vector<double> col_sums(a.cols(), 0.0);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < a.cols(); ++c) {
-      col_sums[c] += std::abs(a(r, c));
-    }
-  }
-  double best = 0.0;
-  for (const double s : col_sums) best = std::max(best, s);
-  return best;
-}
-
-double condition_estimate_1(const linalg::LuFactorization& lu,
-                            double a_norm_1) {
-  // Hager's algorithm: maximize ||A^{-1} x||_1 over ||x||_1 = 1 by a few
-  // steps of a subgradient ascent that alternates solves with A and A^T.
-  const std::size_t n = lu.size();
-  if (n == 0) return 0.0;
-  linalg::Vector x(n, 1.0 / static_cast<double>(n));
-  double estimate = 0.0;
-  for (int iter = 0; iter < 5; ++iter) {
-    const linalg::Vector y = lu.solve(x);
-    const double y_norm = linalg::norm1(y);
-    if (!std::isfinite(y_norm)) {
-      return std::numeric_limits<double>::infinity();
-    }
-    estimate = std::max(estimate, y_norm);
-    // xi = sign(y)
-    linalg::Vector xi(n);
-    for (std::size_t i = 0; i < n; ++i) xi[i] = y[i] >= 0.0 ? 1.0 : -1.0;
-    const linalg::Vector z = lu.solve_transpose(xi);
-    // Next ascent direction: the unit vector of the largest |z| component.
-    std::size_t j = 0;
-    double z_max = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (std::abs(z[i]) > z_max) {
-        z_max = std::abs(z[i]);
-        j = i;
-      }
-    }
-    // Converged when no component beats the current functional value.
-    if (z_max <= std::abs(linalg::dot(z, x))) break;
-    std::fill(x.begin(), x.end(), 0.0);
-    x[j] = 1.0;
-  }
-  return estimate * a_norm_1;
 }
 
 }  // namespace rascad::resilience

@@ -1,12 +1,9 @@
 // Numerical health verification for solver outputs.
 //
-// Every ladder rung's result passes through these checks before it is
+// Every stationary solve's result passes through these checks before it is
 // accepted: a NaN/Inf scan, negative-probability clamping with tolerance
-// accounting, and a residual re-check computed independently of whatever
-// metric the solver itself reported. The direct rung additionally gets a
-// cheap 1-norm condition estimate (Hager/Higham) from its LU factors, so
-// silently inaccurate solves on ill-conditioned systems are caught instead
-// of propagated into availability numbers.
+// accounting, and a residual re-check computed from the generator,
+// independently of the elimination that produced the vector.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +11,6 @@
 #include <string>
 
 #include "linalg/dense.hpp"
-#include "linalg/lu.hpp"
 #include "markov/ctmc.hpp"
 #include "resilience/solve_error.hpp"
 
@@ -30,9 +26,6 @@ struct HealthCheckConfig {
   /// the rate scaling keeps the bound meaningful for stiff chains whose
   /// generator entries span many orders of magnitude.
   double residual_factor = 1e4;
-  /// Direct-path conditioning threshold: a 1-norm condition estimate above
-  /// this fails the rung with kBadConditioning.
-  double max_condition = 1e14;
 };
 
 /// Outcome of verifying one candidate stationary vector.
@@ -63,15 +56,5 @@ HealthReport check_distribution(linalg::Vector& pi,
 HealthReport check_stationary(const markov::Ctmc& chain, linalg::Vector& pi,
                               const HealthCheckConfig& config,
                               double tolerance);
-
-/// 1-norm of a dense matrix (max absolute column sum).
-double dense_norm_1(const linalg::DenseMatrix& a);
-
-/// Hager/Higham estimate of cond_1(A) = ||A||_1 * ||A^{-1}||_1 using the
-/// already-computed LU factors (a handful of solves, O(n^2) each — cheap
-/// next to the O(n^3) factorization it piggybacks on). `a_norm_1` is the
-/// 1-norm of the original matrix.
-double condition_estimate_1(const linalg::LuFactorization& lu,
-                            double a_norm_1);
 
 }  // namespace rascad::resilience

@@ -1,19 +1,14 @@
 #include "resilience/resilience.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "linalg/iterative.hpp"
-#include "linalg/lu.hpp"
 #include "markov/absorbing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "resilience/gth.hpp"
 #include "robust/robust.hpp"
 
 namespace rascad::resilience {
@@ -27,264 +22,97 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-/// Stationarity residual ||pi Q||_inf (the solver-independent metric).
-double stationarity_residual(const markov::Ctmc& chain,
-                             const linalg::Vector& pi) {
-  return linalg::norm_inf(chain.generator().mul_transpose(pi));
-}
-
-/// Classifies an escape from a rung into a (cause, message) pair.
-std::pair<SolveCause, std::string> classify(const std::exception& e) {
-  if (const auto* se = dynamic_cast<const SolveError*>(&e)) {
-    return {se->cause(), se->what()};
+void check_budget(std::size_t states, const ResilienceConfig& config,
+                  const char* episode_name) {
+  if (states > config.max_states) {
+    throw SolveError(SolveCause::kBudgetExceeded, episode_name,
+                     "chain has " + std::to_string(states) +
+                         " states, budget is " +
+                         std::to_string(config.max_states));
   }
-  return {SolveCause::kInvalidInput, e.what()};
 }
 
-/// Shared ladder driver: runs `attempt_rung` over config.rungs, applying
-/// stop-token checks, fault injection hooks and trace bookkeeping. The rung
-/// callback fills in the attempt's solver fields and returns the candidate
-/// result; `verify` post-processes/checks it (returning failure info via
-/// HealthReport). Throws SolveError when every rung fails, or with the
-/// token's cause as soon as `config.base.cancel` stops.
-template <typename Result, typename AttemptFn, typename VerifyFn>
-Result run_ladder(const std::vector<Rung>& rungs,
-                  const ResilienceConfig& config, const char* episode_name,
-                  SolveTrace& trace, AttemptFn&& attempt_rung,
-                  VerifyFn&& verify) {
+/// The single pass every entry point makes: `solve` (a GTH elimination
+/// polling config.base.cancel), then `verify` (an independent health check
+/// that may clamp and renormalize the vector in place), recorded as one
+/// attempt in `trace`. Returns the verified vector; throws SolveError with
+/// the attempt's cause when either step fails.
+template <typename SolveFn, typename VerifyFn>
+linalg::Vector run_episode(const ResilienceConfig& config,
+                           const char* episode_name, SolveTrace& trace,
+                           SolveFn&& solve, VerifyFn&& verify) {
   obs::Span episode_span("ladder.episode");
   if (episode_span.active()) episode_span.set_detail(episode_name);
   const auto start = Clock::now();
-  if (rungs.empty()) {
-    throw SolveError(SolveCause::kInvalidInput, episode_name,
-                     "no rungs configured");
-  }
-  // Inert on the healthy path, where every token check below
-  // short-circuits.
-  const robust::CancelToken& stop = config.base.cancel;
-  // Per-rung durations come from one clock read at the end of each rung
-  // (elapsed-so-far differences), keeping the healthy path at two clock
-  // reads total.
-  double elapsed_ms = 0.0;
-  for (Rung rung : rungs) {
-    if (stop.stop_requested()) {
-      trace.total_ms = ms_since(start);
-      robust::record_stop(stop, episode_name);
-      throw SolveError(robust::cause_from(stop.reason()), episode_name,
-                       std::string("episode stopped (") +
-                           robust::to_string(stop.reason()) + ") after " +
-                           trace.summary());
-    }
-    RungAttempt attempt;
-    attempt.rung = rung;
-    const double rung_start_ms = elapsed_ms;
-    obs::Span attempt_span("ladder.attempt");
-    try {
-      Result candidate = attempt_rung(rung, attempt);
-      apply_fault(config.fault_plan, rung, candidate.pi);
-      const HealthReport health = verify(rung, candidate, attempt);
-      attempt.clamped_mass = health.clamped_mass;
-      attempt.residual_check = health.residual_inf;
-      if (!health.ok) {
-        obs::emit_event("health.check_failed",
-                        {{"episode", episode_name},
-                         {"rung", to_string(rung)},
-                         {"detail", health.detail}});
-        throw SolveError(health.failure.value_or(SolveCause::kNanOrInf),
-                         to_string(rung), health.detail, attempt.iterations,
-                         attempt.residual);
-      }
-      attempt.success = true;
-      elapsed_ms = ms_since(start);
-      attempt.duration_ms = elapsed_ms - rung_start_ms;
-      trace.attempts.push_back(attempt);
-      trace.success = true;
-      trace.final_rung = rung;
-      trace.total_ms = elapsed_ms;
-      if (obs::enabled()) {
-        if (attempt_span.active()) {
-          attempt_span.set_detail(std::string(to_string(rung)) + " ok");
-        }
-        static obs::Counter& attempts_total =
-            obs::Registry::global().counter("ladder.attempts");
-        static obs::Counter& escalations =
-            obs::Registry::global().counter("ladder.escalations");
-        static obs::Histogram& attempt_ms =
-            obs::Registry::global().histogram("ladder.attempt_ms");
-        attempts_total.inc();
-        escalations.inc(trace.attempts.size() - 1);
-        attempt_ms.observe_ms(attempt.duration_ms);
-      }
-      return candidate;
-    } catch (const std::exception& e) {
-      const auto [cause, message] = classify(e);
-      attempt.success = false;
-      attempt.cause = cause;
-      attempt.message = message;
-      elapsed_ms = ms_since(start);
-      attempt.duration_ms = elapsed_ms - rung_start_ms;
-      trace.attempts.push_back(attempt);
-      if (obs::enabled()) {
-        if (attempt_span.active()) {
-          attempt_span.set_detail(std::string(to_string(rung)) +
-                                  " failed (" + to_string(cause) + ")");
-        }
-        static obs::Counter& attempts_total =
-            obs::Registry::global().counter("ladder.attempts");
-        static obs::Counter& failures =
-            obs::Registry::global().counter("ladder.attempt_failures");
-        static obs::Histogram& attempt_ms =
-            obs::Registry::global().histogram("ladder.attempt_ms");
-        attempts_total.inc();
-        failures.inc();
-        attempt_ms.observe_ms(attempt.duration_ms);
-        obs::emit_event("ladder.attempt_failed",
-                        {{"episode", episode_name},
-                         {"rung", to_string(rung)},
-                         {"cause", to_string(cause)},
-                         {"message", message}});
-      }
-      if ((cause == SolveCause::kCancelled ||
-           cause == SolveCause::kDeadlineExceeded) &&
-          stop.stop_requested()) {
-        // The episode stopped: no further rung can be admitted, abort
-        // terminally.
-        trace.total_ms = elapsed_ms;
-        robust::record_stop(stop, episode_name);
-        throw SolveError(robust::cause_from(stop.reason()), episode_name,
-                         "episode stopped: " + trace.summary());
-      }
-    }
-  }
-  trace.total_ms = ms_since(start);
-  const SolveCause last_cause = trace.attempts.back().cause;
-  throw SolveError(last_cause, episode_name,
-                   "all rungs failed: " + trace.summary());
-}
-
-/// Candidate carried through the ladder: a distribution plus solver stats.
-struct Candidate {
+  RungAttempt attempt;
   linalg::Vector pi;
-  std::size_t iterations = 0;
-  double residual = 0.0;
-};
-
-/// ||A||_1 of the replaced-row system, computed off the sparse generator
-/// in O(nnz): column j of A = (Q^T with a ones row) holds Q(j, i) for
-/// i < n-1 plus the 1 contributed by the normalization row.
-double replaced_row_norm_1(const markov::Ctmc& chain) {
-  const linalg::CsrMatrix& q = chain.generator();
-  const std::size_t n = chain.size();
-  double best = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    double col = 1.0;
-    const auto row = q.row(j);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      if (row.cols[k] != n - 1) col += std::abs(row.values[k]);
+  std::optional<SolveError> failure;
+  try {
+    pi = solve();
+    attempt.iterations = pi.size() - 1;
+    const HealthReport health = verify(pi);
+    attempt.clamped_mass = health.clamped_mass;
+    attempt.residual_check = health.residual_inf;
+    if (!health.ok) {
+      obs::emit_event("health.check_failed",
+                      {{"episode", episode_name}, {"detail", health.detail}});
+      failure.emplace(health.failure.value_or(SolveCause::kNanOrInf),
+                      to_string(attempt.rung), health.detail);
     }
-    best = std::max(best, col);
+  } catch (const SolveError& e) {
+    attempt.iterations = e.iterations();
+    failure = e;
+  } catch (const std::exception& e) {
+    failure.emplace(SolveCause::kInvalidInput, to_string(attempt.rung),
+                    e.what());
   }
-  return best;
-}
-
-/// The direct rung, re-implemented from the markov layer so the LU factors
-/// can feed the condition estimate (markov::solve_steady_state discards
-/// them). Fails with kBadConditioning when the estimate crosses the
-/// configured threshold — a silently inaccurate answer is treated exactly
-/// like an error.
-Candidate direct_rung(const markov::Ctmc& chain,
-                      const ResilienceConfig& config, RungAttempt& attempt) {
-  const std::size_t n = chain.size();
-  linalg::DenseMatrix a = chain.generator().transposed().to_dense();
-  for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
-  const linalg::LuFactorization lu(std::move(a));
-  linalg::Vector b(n, 0.0);
-  b[n - 1] = 1.0;
-  Candidate candidate;
-  candidate.pi = lu.solve(b);
-  // Two-tier conditioning check. The pivot-ratio scan is O(n) and free on
-  // the healthy path; the Hager estimate costs a handful of O(n^2)
-  // triangular solves and runs only when the scan puts the factors within
-  // reach of the threshold (the ratio underestimates cond_1, hence the
-  // four-orders-of-magnitude margin).
-  const auto [pivot_min, pivot_max] = lu.pivot_extremes();
-  double estimate = pivot_min > 0.0
-                        ? pivot_max / pivot_min
-                        : std::numeric_limits<double>::infinity();
-  if (estimate > config.health.max_condition * 1e-4) {
-    estimate = condition_estimate_1(lu, replaced_row_norm_1(chain));
+  attempt.success = !failure;
+  if (failure) {
+    attempt.cause = failure->cause();
+    attempt.message = failure->what();
   }
-  attempt.condition_estimate = estimate;
-  if (estimate > config.health.max_condition) {
-    std::ostringstream os;
-    os << "condition estimate " << estimate << " exceeds threshold "
-       << config.health.max_condition;
-    throw SolveError(SolveCause::kBadConditioning, "direct", os.str());
-  }
-  return candidate;
-}
-
-Candidate iterative_rung(const markov::Ctmc& chain, Rung rung,
-                         const ResilienceConfig& config) {
-  markov::SteadyStateOptions opts = config.base;
-  switch (rung) {
-    case Rung::kBiCgStab:
-      opts.method = markov::SteadyStateMethod::kBiCgStab;
-      break;
-    case Rung::kSor:
-      opts.method = markov::SteadyStateMethod::kSor;
-      break;
-    case Rung::kPower:
-      opts.method = markov::SteadyStateMethod::kPower;
-      break;
-    default:
-      throw SolveError(SolveCause::kInvalidInput, "ladder",
-                       "rung has no steady-state meaning");
-  }
-  const markov::SteadyStateResult r = markov::solve_steady_state(chain, opts);
-  return {r.pi, r.iterations, r.residual};
-}
-
-std::vector<Rung> filter_rungs(const std::vector<Rung>& rungs,
-                               std::initializer_list<Rung> allowed) {
-  std::vector<Rung> out;
-  for (Rung r : rungs) {
-    if (std::find(allowed.begin(), allowed.end(), r) != allowed.end()) {
-      out.push_back(r);
+  attempt.duration_ms = ms_since(start);
+  trace.attempts.push_back(attempt);
+  trace.success = attempt.success;
+  trace.final_rung = attempt.rung;
+  trace.total_ms = attempt.duration_ms;
+  if (obs::enabled()) {
+    static obs::Counter& attempts_total =
+        obs::Registry::global().counter("ladder.attempts");
+    static obs::Counter& failures =
+        obs::Registry::global().counter("ladder.attempt_failures");
+    static obs::Histogram& attempt_ms =
+        obs::Registry::global().histogram("ladder.attempt_ms");
+    attempts_total.inc();
+    attempt_ms.observe_ms(attempt.duration_ms);
+    if (failure) {
+      failures.inc();
+      obs::emit_event("ladder.attempt_failed",
+                      {{"episode", episode_name},
+                       {"rung", to_string(attempt.rung)},
+                       {"cause", to_string(attempt.cause)},
+                       {"message", attempt.message}});
     }
   }
-  return out;
+  if (!failure) return pi;
+  const robust::CancelToken& stop = config.base.cancel;
+  if (stop.stop_requested() &&
+      (attempt.cause == SolveCause::kCancelled ||
+       attempt.cause == SolveCause::kDeadlineExceeded)) {
+    robust::record_stop(stop, episode_name);
+  }
+  throw SolveError(attempt.cause, episode_name,
+                   attempt.message + " (" + trace.summary() + ")",
+                   attempt.iterations);
 }
 
 }  // namespace
 
-ResilienceConfig config_from(const markov::SteadyStateOptions& opts) {
+ResilienceConfig config_from(const markov::SteadyStateOptions& opts,
+                             const robust::CancelToken& loop_cancel) {
   ResilienceConfig config;
   config.base = opts;
-  Rung first = Rung::kDirect;
-  switch (opts.method) {
-    case markov::SteadyStateMethod::kDirect: first = Rung::kDirect; break;
-    case markov::SteadyStateMethod::kSor: first = Rung::kSor; break;
-    case markov::SteadyStateMethod::kPower: first = Rung::kPower; break;
-    case markov::SteadyStateMethod::kBiCgStab: first = Rung::kBiCgStab; break;
-  }
-  std::vector<Rung> rungs = {first};
-  for (Rung r : ResilienceConfig{}.rungs) {
-    if (r != first) rungs.push_back(r);
-  }
-  config.rungs = std::move(rungs);
-  return config;
-}
-
-ResilienceConfig resolve_config(
-    const std::optional<ResilienceConfig>& override_config,
-    const markov::SteadyStateOptions& steady,
-    const robust::CancelToken& loop_cancel) {
-  ResilienceConfig config =
-      override_config ? *override_config : config_from(steady);
-  config.base.cancel = robust::CancelToken::any_of(
-      config.base.cancel, robust::CancelToken::any_of(steady.cancel,
-                                                      loop_cancel));
+  config.base.cancel = robust::CancelToken::any_of(opts.cancel, loop_cancel);
   return config;
 }
 
@@ -313,88 +141,40 @@ std::string SolveTrace::summary() const {
 
 ResilientResult solve_steady_state_resilient(const markov::Ctmc& chain,
                                              const ResilienceConfig& config) {
+  check_budget(chain.size(), config, "solve_steady_state_resilient");
   ResilientResult out;
-  if (chain.size() > config.max_states) {
-    throw SolveError(SolveCause::kBudgetExceeded,
-                     "solve_steady_state_resilient",
-                     "chain has " + std::to_string(chain.size()) +
-                         " states, budget is " +
-                         std::to_string(config.max_states));
-  }
-  if (chain.size() == 1) {
-    out.result.pi = {1.0};
-    out.trace.success = true;
-    out.trace.final_rung = config.rungs.empty() ? Rung::kDirect
-                                                : config.rungs.front();
-    RungAttempt trivial;
-    trivial.rung = out.trace.final_rung;
-    trivial.success = true;
-    out.trace.attempts.push_back(trivial);
-    return out;
-  }
-
-  const std::vector<Rung> rungs =
-      filter_rungs(config.rungs, {Rung::kDirect, Rung::kBiCgStab, Rung::kSor,
-                                  Rung::kPower, Rung::kGth});
-  const Candidate solved = run_ladder<Candidate>(
-      rungs, config, "solve_steady_state_resilient", out.trace,
-      [&](Rung rung, RungAttempt& attempt) -> Candidate {
-        switch (rung) {
-          case Rung::kDirect:
-            return direct_rung(chain, config, attempt);
-          case Rung::kGth:
-            return {gth_stationary(chain), 0, 0.0};
-          default:
-            return iterative_rung(chain, rung, config);
-        }
+  out.result.pi = run_episode(
+      config, "solve_steady_state_resilient", out.trace,
+      [&] {
+        return markov::gth_stationary(chain.generator(), config.base.cancel);
       },
-      [&](Rung, Candidate& candidate, RungAttempt& attempt) -> HealthReport {
-        attempt.iterations = candidate.iterations;
-        attempt.residual = candidate.residual;
-        return check_stationary(chain, candidate.pi, config.health,
+      [&](linalg::Vector& pi) {
+        return check_stationary(chain, pi, config.health,
                                 config.base.tolerance);
       });
-  out.result.pi = std::move(solved.pi);
-  out.result.iterations = solved.iterations;
-  out.result.residual = stationarity_residual(chain, out.result.pi);
+  out.result.residual = out.trace.attempts.back().residual_check;
   return out;
 }
 
 ResilientResult stationary_resilient(const markov::Dtmc& dtmc,
                                      const ResilienceConfig& config) {
+  check_budget(dtmc.size(), config, "stationary_resilient");
   ResilientResult out;
-  if (dtmc.size() > config.max_states) {
-    throw SolveError(SolveCause::kBudgetExceeded, "stationary_resilient",
-                     "chain has " + std::to_string(dtmc.size()) +
-                         " states, budget is " +
-                         std::to_string(config.max_states));
-  }
-  std::vector<Rung> rungs =
-      filter_rungs(config.rungs, {Rung::kDirect, Rung::kPower, Rung::kGth});
-  if (rungs.empty()) rungs = {Rung::kDirect, Rung::kPower, Rung::kGth};
-  const Candidate solved = run_ladder<Candidate>(
-      rungs, config, "stationary_resilient", out.trace,
-      [&](Rung rung, RungAttempt&) -> Candidate {
-        switch (rung) {
-          case Rung::kDirect:
-            return {dtmc.stationary(/*direct=*/true), 0, 0.0};
-          case Rung::kGth:
-            return {gth_stationary(dtmc), 0, 0.0};
-          default:
-            return {dtmc.stationary(/*direct=*/false), 0, 0.0};
-        }
+  out.result.pi = run_episode(
+      config, "stationary_resilient", out.trace,
+      [&] {
+        return markov::gth_stationary(dtmc.transition_matrix(),
+                                      config.base.cancel);
       },
-      [&](Rung, Candidate& candidate, RungAttempt& attempt) -> HealthReport {
-        HealthReport report = check_distribution(candidate.pi, config.health);
+      [&](linalg::Vector& pi) {
+        HealthReport report = check_distribution(pi, config.health);
         if (!report.ok) return report;
         // Independent fixed-point residual ||pi P - pi||_inf; P is
         // row-stochastic so no rate scaling is needed.
-        linalg::Vector r =
-            dtmc.transition_matrix().mul_transpose(candidate.pi);
-        for (std::size_t i = 0; i < r.size(); ++i) r[i] -= candidate.pi[i];
+        linalg::Vector r = dtmc.transition_matrix().mul_transpose(pi);
+        for (std::size_t i = 0; i < r.size(); ++i) r[i] -= pi[i];
         report.residual_inf = linalg::norm_inf(r);
         report.residual_l1 = linalg::norm1(r);
-        attempt.residual = report.residual_inf;
         const double bound =
             config.health.residual_factor * config.base.tolerance;
         if (!(report.residual_inf <= bound)) {
@@ -407,7 +187,7 @@ ResilientResult stationary_resilient(const markov::Dtmc& dtmc,
         }
         return report;
       });
-  out.result.pi = std::move(solved.pi);
+  out.result.residual = out.trace.attempts.back().residual_check;
   return out;
 }
 
@@ -444,124 +224,82 @@ double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
     throw std::out_of_range("mttf_resilient: initial state out of range");
   }
   if (chain.down_states().empty()) return 0.0;
+  check_budget(chain.size(), config, "mttf_resilient");
   const markov::Ctmc rel = markov::make_down_states_absorbing(chain);
+  if (!(rel.exit_rate(initial) > 0.0)) return 0.0;
 
-  // Transient states of the reliability chain and their local indices.
+  // Transient states reachable from `initial`, in chain order; `pos` maps
+  // a chain state to its renewal-chain index. Absorbing states map to the
+  // sink A, the last index.
+  constexpr std::ptrdiff_t kUnreached = -1;
+  std::vector<std::ptrdiff_t> pos(rel.size(), kUnreached);
+  std::vector<markov::StateIndex> frontier{initial};
+  pos[initial] = 0;
+  while (!frontier.empty()) {
+    const markov::StateIndex i = frontier.back();
+    frontier.pop_back();
+    const auto row = rel.generator().row(i);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      const markov::StateIndex j = row.cols[k];
+      if (pos[j] == kUnreached && rel.exit_rate(j) > 0.0) {
+        pos[j] = 0;
+        frontier.push_back(j);
+      }
+    }
+  }
   std::vector<markov::StateIndex> transient;
-  std::vector<std::ptrdiff_t> pos(rel.size(), -1);
   for (markov::StateIndex i = 0; i < rel.size(); ++i) {
-    if (rel.exit_rate(i) > 0.0) {
+    if (pos[i] != kUnreached) {
       pos[i] = static_cast<std::ptrdiff_t>(transient.size());
       transient.push_back(i);
     }
   }
-  if (transient.empty() || pos[initial] < 0) return 0.0;
-  const std::size_t m = transient.size();
+  const std::size_t sink = transient.size();
 
-  // (-Q_TT) tau = 1, assembled once in sparse form (densified on demand by
-  // the direct rung).
-  linalg::CsrBuilder builder(m, m);
-  for (std::size_t r = 0; r < m; ++r) {
+  // The renewal chain: every arc into an absorbing state goes to A, and A
+  // returns to `initial` at rate 1, so pi_A is the renewal rate
+  // 1 / (MTTF + 1) and the transient mass is MTTF / (MTTF + 1).
+  markov::CtmcBuilder builder;
+  for (std::size_t r = 0; r < sink; ++r) {
+    builder.add_state("s" + std::to_string(transient[r]), 1.0);
+  }
+  builder.add_state("A", 0.0);
+  for (std::size_t r = 0; r < sink; ++r) {
     const auto row = rel.generator().row(transient[r]);
     for (std::size_t k = 0; k < row.size; ++k) {
-      const std::ptrdiff_t c = pos[row.cols[k]];
-      if (c >= 0) builder.add(r, static_cast<std::size_t>(c),
-                              -row.values[k]);
+      const markov::StateIndex j = row.cols[k];
+      if (j == transient[r]) continue;
+      const std::size_t to =
+          pos[j] == kUnreached ? sink : static_cast<std::size_t>(pos[j]);
+      builder.add_transition(r, to, row.values[k]);
     }
   }
-  const linalg::CsrMatrix a = builder.build();
-  const linalg::Vector ones(m, 1.0);
+  builder.add_transition(sink, static_cast<std::size_t>(pos[initial]), 1.0);
+  const markov::Ctmc renewal = builder.build();
 
-  std::vector<Rung> rungs = filter_rungs(
-      config.rungs, {Rung::kDirect, Rung::kBiCgStab, Rung::kSor});
-  if (rungs.empty()) rungs = {Rung::kDirect, Rung::kBiCgStab, Rung::kSor};
   SolveTrace local_trace;
   SolveTrace& tr = trace ? *trace : local_trace;
-  const Candidate solved = run_ladder<Candidate>(
-      rungs, config, "mttf_resilient", tr,
-      [&](Rung rung, RungAttempt& attempt) -> Candidate {
-        switch (rung) {
-          case Rung::kDirect: {
-            linalg::DenseMatrix dense = a.to_dense();
-            const double a_norm_1 = dense_norm_1(dense);
-            const linalg::LuFactorization lu(std::move(dense));
-            Candidate candidate{lu.solve(ones), 0, 0.0};
-            attempt.condition_estimate = condition_estimate_1(lu, a_norm_1);
-            if (attempt.condition_estimate > config.health.max_condition) {
-              std::ostringstream os;
-              os << "condition estimate " << attempt.condition_estimate
-                 << " exceeds threshold " << config.health.max_condition;
-              throw SolveError(SolveCause::kBadConditioning, "direct",
-                               os.str());
-            }
-            return candidate;
-          }
-          case Rung::kBiCgStab: {
-            linalg::IterativeOptions iopts;
-            iopts.tolerance = config.base.tolerance;
-            iopts.max_iterations = config.base.max_iterations;
-            iopts.cancel = config.base.cancel;
-            const linalg::IterativeResult r =
-                linalg::bicgstab_solve(a, ones, iopts);
-            if (!r.converged) {
-              throw SolveError(SolveCause::kNonConverged, "bicgstab",
-                               "did not converge", r.iterations, r.residual);
-            }
-            return {r.solution, r.iterations, r.residual};
-          }
-          default: {
-            linalg::IterativeOptions iopts;
-            iopts.tolerance = config.base.tolerance;
-            iopts.max_iterations = config.base.max_iterations;
-            iopts.relaxation = config.base.relaxation;
-            iopts.cancel = config.base.cancel;
-            const linalg::IterativeResult r = linalg::sor_solve(a, ones, iopts);
-            if (!r.converged) {
-              throw SolveError(SolveCause::kNonConverged, "sor",
-                               "did not converge", r.iterations, r.residual);
-            }
-            return {r.solution, r.iterations, r.residual};
-          }
-        }
+  const linalg::Vector pi = run_episode(
+      config, "mttf_resilient", tr,
+      [&] {
+        return markov::gth_stationary(renewal.generator(), config.base.cancel);
       },
-      [&](Rung, Candidate& candidate, RungAttempt& attempt) -> HealthReport {
-        attempt.iterations = candidate.iterations;
-        attempt.residual = candidate.residual;
-        HealthReport report;
-        if (!all_finite(candidate.pi)) {
+      [&](linalg::Vector& candidate) {
+        HealthReport report = check_stationary(renewal, candidate,
+                                               config.health,
+                                               config.base.tolerance);
+        if (report.ok && !(candidate[sink] > 0.0)) {
           report.ok = false;
-          report.failure = SolveCause::kNanOrInf;
-          report.detail = "non-finite mean times to absorption";
-          return report;
-        }
-        for (double x : candidate.pi) {
-          if (x < 0.0) {
-            report.ok = false;
-            report.failure = SolveCause::kNanOrInf;
-            report.detail = "negative mean time to absorption";
-            return report;
-          }
-        }
-        // Independent residual: ||A tau - 1||_inf against the rate scale.
-        linalg::Vector r = a.mul(candidate.pi);
-        for (double& x : r) x -= 1.0;
-        report.residual_inf = linalg::norm_inf(r);
-        attempt.residual_check = report.residual_inf;
-        const double scale =
-            std::max(1.0, rel.generator().max_abs_diagonal());
-        const double bound =
-            config.health.residual_factor * config.base.tolerance * scale;
-        if (!(report.residual_inf <= bound)) {
-          report.ok = false;
-          report.failure = SolveCause::kNonConverged;
-          std::ostringstream os;
-          os << "independent residual " << report.residual_inf
-             << " exceeds bound " << bound;
-          report.detail = os.str();
+          report.failure = SolveCause::kInvalidInput;
+          report.detail =
+              "failure is not certain from the initial state (infinite "
+              "MTTF)";
         }
         return report;
       });
-  return solved.pi[static_cast<std::size_t>(pos[initial])];
+  double up_mass = 0.0;
+  for (std::size_t r = 0; r < sink; ++r) up_mass += pi[r];
+  return up_mass / pi[sink];
 }
 
 }  // namespace rascad::resilience

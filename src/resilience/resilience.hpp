@@ -1,32 +1,32 @@
-// The solver resilience layer: fallback ladders with health checks.
+// The solver resilience layer: one verified solve per entry point.
 //
-// Every numerical entry point of the analysis stack gets a resilient
-// wrapper here. The flagship is the steady-state ladder
+// Every stationary entry point of the analysis stack (CTMC steady state,
+// DTMC stationary vector, semi-Markov steady state, MTTF) gets a wrapper
+// here that makes a single pass:
 //
-//   Direct -> BiCGStab -> SOR -> Power -> GTH
+//   state budget -> GTH elimination -> independent health check
 //
-// where each rung's output passes the health checks of health.hpp (NaN/Inf
-// scan, negative-mass clamping, independent residual re-check, condition
-// estimate on the direct path) before it is accepted; a rung that throws or
-// fails verification escalates to the next one, and the whole episode is
-// recorded in a SolveTrace that callers and reports can inspect. The final
-// GTH rung is subtraction-free and numerically exact, so the ladder only
-// fails outright on structurally unusable input or an exhausted budget.
+// The elimination is markov::gth_stationary: subtraction-free, so its
+// result is componentwise accurate. The health checks of health.hpp (NaN/Inf
+// scan, negative-mass clamping, a residual recomputed from the generator)
+// verify it without trusting the elimination before it is accepted. The
+// attempt, successful or not, is recorded in a SolveTrace that callers and
+// reports can inspect. A reducible chain, a failed check, an exhausted
+// budget or a stopped token throws SolveError with its cause; there is no
+// fallback solver to escalate to.
 //
-// Budgets (state count, iterations) and the episode's stop token live in
-// ResilienceConfig; the FaultPlan member is the test hook that forces rung
-// failures (fault_injection.hpp).
+// The state budget and the episode's stop token live in ResilienceConfig;
+// the elimination polls the token once per row of its dense workspace and
+// once per eliminated state.
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
 #include "markov/steady_state.hpp"
-#include "resilience/fault_injection.hpp"
 #include "resilience/health.hpp"
 #include "resilience/solve_error.hpp"
 #include "robust/cancel.hpp"
@@ -35,62 +35,46 @@
 namespace rascad::resilience {
 
 struct ResilienceConfig {
-  /// Rungs tried in order. The default ladder starts with the cheap exact
-  /// method and ends with the subtraction-free exact one.
-  std::vector<Rung> rungs = {Rung::kDirect, Rung::kBiCgStab, Rung::kSor,
-                             Rung::kPower, Rung::kGth};
-  /// Tolerance / iteration budget / relaxation shared by the rungs, plus
-  /// the episode's stop token: `base.cancel` is checked before every rung
-  /// and, every robust::kCheckInterval iterations, inside the
-  /// iterative ones. A stopped token aborts the ladder with
-  /// SolveError(kCancelled / kDeadlineExceeded); an episode deadline is
+  /// Residual tolerance of the health check, plus the episode's stop
+  /// token: `base.cancel` is polled throughout the elimination, and a
+  /// stopped token aborts the episode with SolveError(kCancelled /
+  /// kDeadlineExceeded); an episode deadline is
   /// `base.cancel = robust::CancelToken::with_deadline_ms(...)`.
   markov::SteadyStateOptions base;
   /// State-space budget: chains larger than this are refused up front with
-  /// SolveError(kBudgetExceeded) instead of attempting an O(n^3) rung.
+  /// SolveError(kBudgetExceeded) instead of attempting the O(n^3)
+  /// elimination.
   std::size_t max_states = 200'000;
   HealthCheckConfig health;
-  /// Test-only deterministic fault injection; inert when empty.
-  FaultPlan fault_plan;
 };
 
-/// Builds a config whose ladder starts at the rung matching
-/// `opts.method` (callers that explicitly ask for, say, SOR still get their
-/// method first) and continues with the remaining default rungs. The
-/// ladder inherits `opts` whole, stop token included.
-ResilienceConfig config_from(const markov::SteadyStateOptions& opts);
+/// The one rule that turns a caller's options into a config: `opts` whole,
+/// with the stop token of the surrounding parallel loop (`loop_cancel`)
+/// joined into `base.cancel`, so stopping either stops the solve. Inert
+/// tokens add nothing, so the healthy path stays token-free.
+ResilienceConfig config_from(const markov::SteadyStateOptions& opts,
+                             const robust::CancelToken& loop_cancel = {});
 
-/// The one rule that turns a caller's options into a ladder config: the
-/// explicit `override_config` when set, else config_from(steady). The stop
-/// tokens of the config, of `steady` and of the surrounding parallel loop
-/// (`loop_cancel`) are then joined into `base.cancel`, so stopping any of
-/// them stops the solve. Inert tokens add nothing, so the healthy path
-/// stays token-free.
-ResilienceConfig resolve_config(
-    const std::optional<ResilienceConfig>& override_config,
-    const markov::SteadyStateOptions& steady,
-    const robust::CancelToken& loop_cancel = {});
-
-/// One rung's attempt, successful or not.
+/// One solve attempt, successful or not.
 struct RungAttempt {
-  Rung rung = Rung::kDirect;
+  Rung rung = Rung::kGth;
   bool success = false;
   SolveCause cause = SolveCause::kNonConverged;  // valid when !success
   std::string message;                           // failure detail
+  /// States eliminated (n - 1 for a completed elimination of an n-state
+  /// chain).
   std::size_t iterations = 0;
-  double residual = 0.0;            // solver-reported metric
-  double residual_check = 0.0;      // independent ||pi Q||_inf re-check
-  double condition_estimate = 0.0;  // direct rung only; 0 = not computed
-  double clamped_mass = 0.0;        // negative mass clamped by health layer
+  double residual_check = 0.0;  // independent ||pi Q||_inf re-check
+  double clamped_mass = 0.0;    // negative mass clamped by health layer
   double duration_ms = 0.0;
 };
 
 /// Where a solution came from, now that block solves can be memoized or
 /// reused from a baseline model. A non-fresh trace still carries the
-/// attempts of the ladder episode that originally produced the numbers,
-/// so resilience reporting stays honest about which rung did the work.
+/// attempts of the episode that originally produced the numbers, so
+/// resilience reporting stays honest about how they were computed.
 enum class SolveSource {
-  kFresh,          // a ladder episode ran for this request
+  kFresh,          // an episode ran for this request
   kCacheHit,       // copied from the solve-memoization cache
   kBaselineReuse,  // reused from a baseline SystemModel during rebuild
 };
@@ -104,28 +88,30 @@ inline const char* to_string(SolveSource source) {
   return "unknown";
 }
 
-/// Full record of a ladder episode.
+/// Full record of a solve episode.
 struct SolveTrace {
   std::vector<RungAttempt> attempts;
   bool success = false;
-  Rung final_rung = Rung::kDirect;  // valid when success
+  Rung final_rung = Rung::kGth;  // valid when success
   double total_ms = 0.0;
   /// Provenance of the numbers this trace vouches for.
   SolveSource source = SolveSource::kFresh;
 
+  /// Attempts after the first. An episode makes one attempt, so this is 0;
+  /// kept for trace consumers that tally it.
   std::size_t escalations() const noexcept {
     return attempts.empty() ? 0 : attempts.size() - 1;
   }
-  /// Total solver iterations across every attempt of the episode.
+  /// States eliminated across every attempt of the episode.
   std::size_t total_iterations() const noexcept {
     std::size_t acc = 0;
     for (const auto& a : attempts) acc += a.iterations;
     return acc;
   }
-  /// One-line human-readable summary, e.g.
-  /// "direct failed (bad-conditioning) -> bicgstab ok [2 attempts, 0.41 ms]";
-  /// non-fresh traces are prefixed with their provenance, e.g.
-  /// "[cache-hit] direct ok [1 attempt, 0.08 ms]".
+  /// One-line human-readable summary, e.g. "gth ok [1 attempt, 0.41 ms]" or
+  /// "gth failed (invalid-input) [1 attempt, 0.02 ms]"; non-fresh traces
+  /// are prefixed with their provenance, e.g.
+  /// "[cache-hit] gth ok [1 attempt, 0.08 ms]".
   std::string summary() const;
 };
 
@@ -134,27 +120,33 @@ struct ResilientResult {
   SolveTrace trace;
 };
 
-/// Steady-state distribution through the fallback ladder. Throws SolveError
-/// (carrying the last rung's cause; the trace is embedded in the message)
-/// only if every configured rung fails.
+/// Steady-state distribution of an irreducible CTMC. Throws SolveError
+/// (kBudgetExceeded, kInvalidInput for a reducible chain, the health
+/// check's cause, or the stop token's; the trace summary is embedded in
+/// the message) when the solve does not produce a verified vector.
 ResilientResult solve_steady_state_resilient(
     const markov::Ctmc& chain, const ResilienceConfig& config = {});
 
-/// DTMC stationary distribution through a Direct -> Power -> GTH ladder
-/// (rungs without a DTMC meaning are skipped from config.rungs).
+/// DTMC stationary distribution, verified by the fixed-point residual
+/// ||pi P - pi||_inf.
 ResilientResult stationary_resilient(const markov::Dtmc& dtmc,
                                      const ResilienceConfig& config = {});
 
-/// Semi-Markov steady state: the embedded DTMC goes through the ladder,
-/// then the sojourn-time ratio formula is applied and health-checked.
+/// Semi-Markov steady state: the embedded DTMC goes through
+/// stationary_resilient, then the sojourn-time ratio formula is applied and
+/// health-checked.
 ResilientResult smp_steady_state_resilient(
     const semimarkov::SemiMarkovProcess& process,
     const ResilienceConfig& config = {});
 
-/// Mean time to failure (down states absorbing) with a Direct -> BiCGStab
-/// -> SOR ladder on the fundamental system (-Q_TT) tau = 1. Returns 0 for
-/// chains that cannot fail. `trace` (optional) receives the episode.
-/// Throws std::out_of_range when `initial` is not a state of `chain`.
+/// Mean time to failure from `initial` (down states absorbing), by GTH on
+/// the renewal chain: the transient states reachable from `initial`, the
+/// absorbing states merged into one sink A, and A -> initial at rate 1.
+/// Then MTTF = sum_T pi / pi_A, with no subtraction anywhere. Returns 0 for
+/// chains without down states and when `initial` is absorbing. `trace`
+/// (optional) receives the episode. Throws std::out_of_range when
+/// `initial` is not a state of `chain`, and SolveError(kInvalidInput) when
+/// failure is not certain from `initial` (infinite MTTF).
 double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
                       const ResilienceConfig& config = {},
                       SolveTrace* trace = nullptr);

@@ -2,7 +2,7 @@
 //
 // RAScad's contract is that a non-expert always gets availability numbers
 // back, so the analysis stack must fail in a machine-readable way that the
-// resilience ladder (resilience.hpp) can act on. SolveError replaces the
+// resilience layer (resilience.hpp) can record and report. SolveError replaces the
 // bare std::runtime_error / std::domain_error throws of the numeric layers:
 // it is-a std::runtime_error (existing catch sites keep working) but carries
 // a cause code, the method that failed, and the iteration/residual state at
@@ -19,14 +19,12 @@
 
 namespace rascad::resilience {
 
-/// Why a solve failed. The ladder records these in SolveTrace and uses them
-/// to decide whether escalating to the next rung can help.
+/// Why a solve failed. The resilience layer records these in SolveTrace.
 enum class SolveCause {
   kSingular,          // singular / pivot-breakdown linear system
-  kNonConverged,      // iteration budget exhausted before the tolerance
+  kNonConverged,      // independent residual check above its bound
   kNanOrInf,          // non-finite values or invalid probability mass
   kBudgetExceeded,    // state-space / term / step budget exceeded
-  kBadConditioning,   // condition estimate above the configured threshold
   kDeadlineExceeded,  // deadline token expired
   kInvalidInput,      // structurally unusable input (e.g. absorbing state
                       // handed to an irreducible-chain solver)
@@ -39,7 +37,6 @@ inline const char* to_string(SolveCause cause) {
     case SolveCause::kNonConverged: return "non-converged";
     case SolveCause::kNanOrInf: return "nan-or-inf";
     case SolveCause::kBudgetExceeded: return "budget-exceeded";
-    case SolveCause::kBadConditioning: return "bad-conditioning";
     case SolveCause::kDeadlineExceeded: return "deadline-exceeded";
     case SolveCause::kInvalidInput: return "invalid-input";
     case SolveCause::kCancelled: return "cancelled";
@@ -47,21 +44,14 @@ inline const char* to_string(SolveCause cause) {
   return "unknown";
 }
 
-/// Identity of a solver rung across the resilience ladders.
+/// Identity of the algorithm behind a solve attempt, as recorded in a
+/// SolveTrace and printed in its summary and the report's solver table.
 enum class Rung {
-  kDirect,     // dense LU on the replaced-row system
-  kBiCgStab,   // preconditioned Krylov solve
-  kSor,        // Gauss-Seidel / SOR sweeps
-  kPower,      // power iteration on the uniformized DTMC
-  kGth,        // Grassmann-Taksar-Heyman elimination (subtraction-free)
+  kGth,  // Grassmann-Taksar-Heyman elimination (subtraction-free)
 };
 
 inline const char* to_string(Rung rung) {
   switch (rung) {
-    case Rung::kDirect: return "direct";
-    case Rung::kBiCgStab: return "bicgstab";
-    case Rung::kSor: return "sor";
-    case Rung::kPower: return "power";
     case Rung::kGth: return "gth";
   }
   return "unknown";

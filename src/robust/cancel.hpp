@@ -1,10 +1,10 @@
 // Cooperative cancellation and deadlines for the whole solve stack.
 //
 // A CancelToken is a copyable handle onto shared atomic stop state. Work
-// loops poll stop_requested() at checkpoints (every N iterations in the
-// linalg solvers, between rungs in the resilience ladder, between chunks in
-// exec::parallel_for) and throw SolveError(kCancelled / kDeadlineExceeded)
-// when it fires. Three properties the stack relies on:
+// loops poll stop_requested() at checkpoints (once per copied row and once
+// per eliminated state in the GTH elimination, between chunks in
+// exec::parallel_for) and throw
+// SolveError(kCancelled / kDeadlineExceeded) when it fires. Three properties the stack relies on:
 //
 //  * Inert by default. A default-constructed token holds no state; every
 //    checkpoint is a single null-pointer test, so code paths that never
@@ -23,7 +23,7 @@
 //
 // This header is deliberately header-only with no dependencies beyond the
 // standard library and the (equally header-only) solve_error taxonomy, so
-// rascad_linalg can poll tokens without linking against any higher layer.
+// rascad_markov can poll tokens without linking against any higher layer.
 #pragma once
 
 #include <atomic>
@@ -251,10 +251,6 @@ class CancelToken {
 
   std::shared_ptr<detail::CancelState> state_;
 };
-
-/// Iterations between two polls of a token inside a solver loop; the first
-/// iteration is always polled.
-inline constexpr std::size_t kCheckInterval = 64;
 
 /// Checkpoint helper: throws SolveError(kCancelled / kDeadlineExceeded) in
 /// `who`'s name if the token has stopped.

@@ -206,7 +206,7 @@ TEST(SolveBlockCached, SecondSolveIsACacheHitWithIdenticalNumbers) {
   EXPECT_EQ(second.availability, first.availability);
   EXPECT_EQ(second.eq_failure_rate, first.eq_failure_rate);
   EXPECT_EQ(second.yearly_downtime_min, first.yearly_downtime_min);
-  // The cached entry carries the producing episode's ladder attempts.
+  // The cached entry carries the producing episode's attempts.
   EXPECT_EQ(second.solve_trace.attempts.size(),
             first.solve_trace.attempts.size());
   // Both entries share the one generated chain.

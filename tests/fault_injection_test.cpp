@@ -1,6 +1,6 @@
-// Fault-injection harness: every rung-to-rung transition of the ladders is
-// forced and the recorded causes checked; corrupt-result faults must be
-// caught by the health layer (not the solvers' own error paths).
+// Sick-chain harness: the generators of fault_injection.hpp build genuinely
+// sick inputs, and every entry point must either return the right answer
+// or fail with the right cause, recorded in its trace.
 #include <cmath>
 #include <string>
 
@@ -30,38 +30,13 @@ Ctmc repair_chain() {
 
 // ------------------------------------------------------ fault primitives ----
 
-TEST(FaultPrimitives, CorruptResultNan) {
-  Vector pi{0.25, 0.25, 0.25, 0.25};
-  corrupt_result(pi, FaultKind::kNanResult);
-  EXPECT_TRUE(std::isnan(pi[2]));
-}
-
-TEST(FaultPrimitives, CorruptResultNegative) {
-  Vector pi{0.7, 0.3};
-  corrupt_result(pi, FaultKind::kNegativeResult);
-  EXPECT_LT(pi[1], 0.0);
-}
-
-TEST(FaultPrimitives, PlanLookup) {
-  FaultPlan plan;
-  EXPECT_TRUE(plan.faults.empty());
-  plan.fail(Rung::kSor, FaultKind::kThrowSingular);
-  EXPECT_FALSE(plan.faults.empty());
-  EXPECT_EQ(plan.fault_for(Rung::kSor), FaultKind::kThrowSingular);
-  EXPECT_EQ(plan.fault_for(Rung::kDirect), FaultKind::kNone);
-  // A later fail() for the same rung replaces the earlier fault.
-  plan.fail(Rung::kSor, FaultKind::kNanResult);
-  EXPECT_EQ(plan.faults.size(), 1u);
-  EXPECT_EQ(plan.fault_for(Rung::kSor), FaultKind::kNanResult);
-}
-
 TEST(FaultPrimitives, ScaledRatesPreserveAvailability) {
   const Ctmc chain = repair_chain();
   const Ctmc scaled = with_scaled_rates(chain, 1e-3);
   const Vector a = solve_steady_state_resilient(chain).result.pi;
   const Vector b = solve_steady_state_resilient(scaled).result.pi;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a[i], b[i], 1e-10);
+    EXPECT_NEAR(a[i], b[i], 1e-14);
   }
 }
 
@@ -77,111 +52,60 @@ TEST(FaultPrimitives, ZeroedTransitionMakesStateAbsorbing) {
   }
 }
 
-// -------------------------------------------------- rung transitions ----
+// ------------------------------------------------------ sick episodes ----
 
-/// Forces the first k rungs of the default ladder to fail and checks that
-/// the episode recovers at rung k+1 with every failure cause recorded —
-/// the acceptance criterion for the harness.
-TEST(RungTransitions, EveryEscalationStepFires) {
-  const Ctmc chain = repair_chain();
-  const ResilienceConfig defaults;
-  ASSERT_EQ(defaults.rungs.size(), 5u);
-  for (std::size_t k = 0; k + 1 < defaults.rungs.size(); ++k) {
-    ResilienceConfig config;
-    for (std::size_t j = 0; j <= k; ++j) {
-      config.fault_plan.fail(config.rungs[j], FaultKind::kThrowNonConverged);
-    }
-    const ResilientResult r = solve_steady_state_resilient(chain, config);
-    EXPECT_TRUE(r.trace.success) << "k=" << k;
-    EXPECT_EQ(r.trace.final_rung, config.rungs[k + 1]) << "k=" << k;
-    ASSERT_EQ(r.trace.attempts.size(), k + 2) << "k=" << k;
-    for (std::size_t j = 0; j <= k; ++j) {
-      EXPECT_FALSE(r.trace.attempts[j].success);
-      EXPECT_EQ(r.trace.attempts[j].cause, SolveCause::kNonConverged);
-      EXPECT_EQ(r.trace.attempts[j].rung, config.rungs[j]);
-    }
-    EXPECT_TRUE(r.trace.attempts[k + 1].success);
-    EXPECT_NEAR(r.result.pi[0] + r.result.pi[1] + r.result.pi[2], 1.0, 1e-9);
-  }
-}
-
-TEST(RungTransitions, SingularFaultCauseIsRecorded) {
-  ResilienceConfig config;
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kThrowSingular);
-  const ResilientResult r = solve_steady_state_resilient(repair_chain(), config);
-  EXPECT_TRUE(r.trace.success);
-  ASSERT_GE(r.trace.attempts.size(), 2u);
-  EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kSingular);
-  EXPECT_NE(r.trace.summary().find("direct failed (singular)"),
-            std::string::npos);
-}
-
-// Corrupt-result faults bypass the solver's own error handling entirely;
-// only the health layer can catch them.
-TEST(RungTransitions, NanResultCaughtByHealthLayer) {
-  ResilienceConfig config;
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kNanResult);
-  const ResilientResult r = solve_steady_state_resilient(repair_chain(), config);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kBiCgStab);
-  ASSERT_GE(r.trace.attempts.size(), 2u);
-  EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kNanOrInf);
-}
-
-TEST(RungTransitions, NegativeResultCaughtByHealthLayer) {
-  ResilienceConfig config;
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kNegativeResult);
-  const ResilientResult r = solve_steady_state_resilient(repair_chain(), config);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kBiCgStab);
-  EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kNanOrInf);
-  EXPECT_GT(r.trace.attempts[0].clamped_mass, 0.0);
-}
-
-TEST(RungTransitions, AllRungsFailingThrowsWithLastCause) {
-  ResilienceConfig config;
-  for (const Rung rung : config.rungs) {
-    config.fault_plan.fail(rung, FaultKind::kThrowNonConverged);
-  }
+TEST(SickEpisodes, ZeroedRepairArcBreaksSteadyStateButNotMttf) {
+  // down -> ok removed: "down" absorbs, so neither a stationary vector nor
+  // (from "down") a renewal cycle exists.
+  const Ctmc cut = with_transition_zeroed(repair_chain(), 2, 0);
+  SolveTrace trace;
   try {
-    solve_steady_state_resilient(repair_chain(), config);
+    solve_steady_state_resilient(cut);
+    FAIL() << "expected SolveError";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
+  }
+  // The reliability view of the same chain is healthy: MTTF from "ok" is
+  // unaffected by the repair arc that was cut.
+  const double want = mttf_resilient(repair_chain(), 0);
+  EXPECT_NEAR(mttf_resilient(cut, 0, ResilienceConfig{}, &trace), want,
+              1e-14 * want);
+  EXPECT_TRUE(trace.success);
+}
+
+TEST(SickEpisodes, HealthCheckFailureFailsTheEpisodeWithItsCause) {
+  // A residual bound no finite-precision vector can meet: the independent
+  // check, not the elimination, rejects the answer, and the recorded
+  // attempt carries its cause and residual.
+  const Ctmc chain = with_scaled_rates(repair_chain(), 0.3);
+  ResilienceConfig config;
+  config.base.tolerance = 1e-300;
+  try {
+    solve_steady_state_resilient(chain, config);
     FAIL() << "expected SolveError";
   } catch (const SolveError& e) {
     EXPECT_EQ(e.cause(), SolveCause::kNonConverged);
-    EXPECT_NE(std::string(e.what()).find("all rungs failed"),
-              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("gth failed (non-converged)"),
+              std::string::npos)
+        << e.what();
   }
-}
-
-TEST(RungTransitions, DtmcLadderEscalates) {
-  rascad::markov::DtmcBuilder b;
-  b.add_state("a");
-  b.add_state("b");
-  b.add_transition(0, 1, 1.0);
-  b.add_transition(1, 0, 0.5);
-  b.add_transition(1, 1, 0.5);
-  ResilienceConfig config;
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kThrowSingular);
-  const ResilientResult r = stationary_resilient(b.build(), config);
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_NE(r.trace.final_rung, Rung::kDirect);
-  EXPECT_NEAR(r.result.pi[0] + r.result.pi[1], 1.0, 1e-12);
-}
-
-TEST(RungTransitions, MttfLadderEscalates) {
-  CtmcBuilder b;
-  const auto up = b.add_state("up", 1.0);
-  const auto down = b.add_state("down", 0.0);
-  b.add_transition(up, down, 0.5);
-  b.add_transition(down, up, 10.0);
-  const Ctmc chain = b.build();
-  ResilienceConfig config;
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kThrowSingular);
   SolveTrace trace;
-  const double mttf = mttf_resilient(chain, 0, config, &trace);
-  EXPECT_TRUE(trace.success);
-  EXPECT_NE(trace.final_rung, Rung::kDirect);
-  EXPECT_NEAR(mttf, 2.0, 1e-8);
+  EXPECT_THROW(mttf_resilient(chain, 0, config, &trace), SolveError);
+  ASSERT_EQ(trace.attempts.size(), 1u);
+  EXPECT_FALSE(trace.success);
+  EXPECT_EQ(trace.attempts[0].cause, SolveCause::kNonConverged);
+  EXPECT_GT(trace.attempts[0].residual_check, 0.0);
+}
+
+TEST(SickEpisodes, StiffChainSolvesFirstTime) {
+  // Stationary masses spanning 1e9 per link: one attempt, and the
+  // residual check passes at the default tolerance.
+  const ResilientResult r =
+      solve_steady_state_resilient(ill_conditioned_chain(8, 1e9));
+  EXPECT_TRUE(r.trace.success);
+  ASSERT_EQ(r.trace.attempts.size(), 1u);
+  EXPECT_EQ(r.trace.attempts[0].clamped_mass, 0.0);
+  for (const double x : r.result.pi) EXPECT_GT(x, 0.0);
 }
 
 }  // namespace

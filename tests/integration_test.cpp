@@ -9,6 +9,7 @@
 #include "core/library.hpp"
 #include "core/project.hpp"
 #include "gmb/workspace.hpp"
+#include "linalg/lu.hpp"
 #include "markov/steady_state.hpp"
 #include "mg/generator.hpp"
 #include "mg/system.hpp"
@@ -139,16 +140,23 @@ TEST(Validation, DatacenterEndToEnd) {
   }
 }
 
-TEST(Validation, SolverChoiceDoesNotChangeAnswers) {
-  const auto model = rascad::core::library::midrange_server();
-  SystemModel::Options direct;
-  direct.steady.method = rascad::markov::SteadyStateMethod::kDirect;
-  SystemModel::Options sor;
-  sor.steady.method = rascad::markov::SteadyStateMethod::kSor;
-  sor.steady.tolerance = 1e-14;
-  const double a1 = SystemModel::build(model, direct).availability();
-  const double a2 = SystemModel::build(model, sor).availability();
-  EXPECT_LT(relative_error(1.0 - a1, 1.0 - a2), 1e-6);
+TEST(Validation, GthAgreesWithLuReferenceOnEveryBlock) {
+  // Reference: dense LU on Q^T with the last row replaced by the
+  // normalization sum(pi) = 1, an elimination independent of GTH.
+  const SystemModel system =
+      SystemModel::build(rascad::core::library::midrange_server());
+  for (const auto& blk : system.blocks()) {
+    const rascad::markov::Ctmc& chain = *blk.chain;
+    const std::size_t n = chain.size();
+    rascad::linalg::DenseMatrix a = chain.generator().transposed().to_dense();
+    for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
+    rascad::linalg::Vector b(n, 0.0);
+    b[n - 1] = 1.0;
+    const double lu_a = rascad::markov::expected_reward(
+        chain, rascad::linalg::lu_solve(std::move(a), b));
+    EXPECT_LT(relative_error(1.0 - blk.availability, 1.0 - lu_a), 1e-6)
+        << blk.block.name;
+  }
 }
 
 TEST(Validation, MissionTimeFlowsThroughProject) {

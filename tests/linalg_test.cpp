@@ -9,7 +9,6 @@
 
 #include "linalg/csr.hpp"
 #include "linalg/dense.hpp"
-#include "linalg/iterative.hpp"
 #include "linalg/lu.hpp"
 #include "resilience/solve_error.hpp"
 
@@ -18,7 +17,6 @@ namespace {
 using rascad::linalg::CsrBuilder;
 using rascad::linalg::CsrMatrix;
 using rascad::linalg::DenseMatrix;
-using rascad::linalg::IterativeOptions;
 using rascad::linalg::LuFactorization;
 using rascad::linalg::Vector;
 
@@ -271,15 +269,6 @@ TEST(Lu, SolvesKnownSystem) {
   EXPECT_NEAR(x[1], 1.4, 1e-12);
 }
 
-TEST(Lu, SolveTransposeMatchesExplicitTranspose) {
-  const DenseMatrix a{{2.0, 1.0, 0.0}, {0.5, 3.0, 1.0}, {0.0, 1.0, 4.0}};
-  const Vector b{1.0, 2.0, 3.0};
-  const LuFactorization lu(a);
-  const Vector x1 = lu.solve_transpose(b);
-  const Vector x2 = rascad::linalg::lu_solve(a.transposed(), b);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x1[i], x2[i], 1e-12);
-}
-
 TEST(Lu, Determinant) {
   const DenseMatrix a{{2.0, 0.0}, {0.0, 3.0}};
   EXPECT_NEAR(LuFactorization(a).determinant(), 6.0, 1e-12);
@@ -303,78 +292,6 @@ TEST(Lu, SingularThrows) {
 TEST(Lu, RequiresSquare) {
   const DenseMatrix a(2, 3);
   EXPECT_THROW(LuFactorization{a}, std::invalid_argument);
-}
-
-CsrMatrix diagonally_dominant_test_matrix() {
-  CsrBuilder b(4, 4);
-  const double diag[4] = {10.0, 12.0, 9.0, 11.0};
-  for (std::size_t i = 0; i < 4; ++i) b.add(i, i, diag[i]);
-  b.add(0, 1, 2.0);
-  b.add(1, 0, 1.0);
-  b.add(1, 2, 3.0);
-  b.add(2, 3, 2.0);
-  b.add(3, 0, 1.5);
-  return b.build();
-}
-
-TEST(Iterative, JacobiMatchesLu) {
-  const CsrMatrix a = diagonally_dominant_test_matrix();
-  const Vector b{1.0, 2.0, 3.0, 4.0};
-  const auto result = rascad::linalg::jacobi_solve(a, b);
-  ASSERT_TRUE(result.converged);
-  const Vector exact = rascad::linalg::lu_solve(a.to_dense(), b);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(result.solution[i], exact[i], 1e-9);
-  }
-}
-
-TEST(Iterative, SorMatchesLu) {
-  const CsrMatrix a = diagonally_dominant_test_matrix();
-  const Vector b{1.0, 2.0, 3.0, 4.0};
-  IterativeOptions opts;
-  opts.relaxation = 1.1;
-  const auto result = rascad::linalg::sor_solve(a, b, opts);
-  ASSERT_TRUE(result.converged);
-  const Vector exact = rascad::linalg::lu_solve(a.to_dense(), b);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(result.solution[i], exact[i], 1e-9);
-  }
-}
-
-TEST(Iterative, BiCgStabMatchesLu) {
-  const CsrMatrix a = diagonally_dominant_test_matrix();
-  const Vector b{1.0, 2.0, 3.0, 4.0};
-  const auto result = rascad::linalg::bicgstab_solve(a, b);
-  ASSERT_TRUE(result.converged);
-  const Vector exact = rascad::linalg::lu_solve(a.to_dense(), b);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(result.solution[i], exact[i], 1e-8);
-  }
-}
-
-TEST(Iterative, ZeroDiagonalThrows) {
-  CsrBuilder b(2, 2);
-  b.add(0, 1, 1.0);
-  b.add(1, 0, 1.0);
-  b.add(1, 1, 1.0);
-  const CsrMatrix a = b.build();
-  EXPECT_THROW(rascad::linalg::jacobi_solve(a, {1.0, 1.0}),
-               rascad::resilience::SolveError);
-  EXPECT_THROW(rascad::linalg::sor_solve(a, {1.0, 1.0}),
-               rascad::resilience::SolveError);
-}
-
-TEST(Iterative, PowerStationaryTwoState) {
-  // P = [[0.9, 0.1], [0.5, 0.5]] -> pi = (5/6, 1/6)
-  CsrBuilder b(2, 2);
-  b.add(0, 0, 0.9);
-  b.add(0, 1, 0.1);
-  b.add(1, 0, 0.5);
-  b.add(1, 1, 0.5);
-  const auto result = rascad::linalg::power_stationary(b.build());
-  ASSERT_TRUE(result.converged);
-  EXPECT_NEAR(result.solution[0], 5.0 / 6.0, 1e-9);
-  EXPECT_NEAR(result.solution[1], 1.0 / 6.0, 1e-9);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for the CTMC engine: construction, steady-state solvers (against
-// closed forms and each other), transient analysis by uniformization
+// Tests for the CTMC engine: construction, the GTH steady-state solver
+// (against closed forms), transient analysis by uniformization
 // (against the two-state closed form), and absorbing-chain analysis.
 #include <gtest/gtest.h>
 
@@ -24,8 +24,6 @@ namespace {
 
 using rascad::markov::Ctmc;
 using rascad::markov::CtmcBuilder;
-using rascad::markov::SteadyStateMethod;
-using rascad::markov::SteadyStateOptions;
 
 Ctmc two_state_chain(double lambda, double mu) {
   CtmcBuilder b;
@@ -108,27 +106,21 @@ TEST(SteadyState, TwoStateMatchesClosedForm) {
               1e-12);
 }
 
-class SteadyStateMethodsTest
-    : public ::testing::TestWithParam<SteadyStateMethod> {};
-
-TEST_P(SteadyStateMethodsTest, AllMethodsAgreeOnFixture) {
+TEST(SteadyState, FixtureMatchesBalanceEquations) {
+  // Hand-solved balance equations of five_state_chain, relative to
+  // pi(PF) = 1: Down = 1e-4 / 0.25, SE = 0.002 / 0.25,
+  // Ok = (0.02 + 0.002) / 2e-4 and AR = Ok * 2e-4 / 12.
   const Ctmc chain = five_state_chain();
-  const auto reference = rascad::markov::solve_steady_state(chain);
-  SteadyStateOptions opts;
-  opts.method = GetParam();
-  opts.tolerance = 1e-13;
-  const auto result = rascad::markov::solve_steady_state(chain, opts);
+  const long double raw[] = {110.0L, 0.022L / 12.0L, 1.0L, 4e-4L, 0.008L};
+  long double total = 0.0L;
+  for (const long double x : raw) total += x;
+  const auto result = rascad::markov::solve_steady_state(chain);
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    EXPECT_NEAR(result.pi[i], reference.pi[i], 1e-8) << "state " << i;
+    const double want = static_cast<double>(raw[i] / total);
+    EXPECT_NEAR(result.pi[i], want, 1e-14 * want) << "state " << i;
   }
-  EXPECT_LT(result.residual, 1e-8);
+  EXPECT_LT(result.residual, 1e-14);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllMethods, SteadyStateMethodsTest,
-                         ::testing::Values(SteadyStateMethod::kDirect,
-                                           SteadyStateMethod::kSor,
-                                           SteadyStateMethod::kPower,
-                                           SteadyStateMethod::kBiCgStab));
 
 TEST(SteadyState, BirthDeathMatchesBaseline) {
   // 3 units, repair rate mu, failure rate lambda each; compare the chain
@@ -417,10 +409,9 @@ TEST(Dtmc, StationaryMatchesHandComputation) {
   b.add_transition(c, a, 0.5);
   b.add_transition(c, c, 0.5);
   const auto chain = b.build();
-  const auto direct = chain.stationary(true);
-  const auto power = chain.stationary(false);
-  EXPECT_NEAR(direct[0], 5.0 / 6.0, 1e-12);
-  EXPECT_NEAR(power[0], 5.0 / 6.0, 1e-9);
+  const auto pi = chain.stationary();
+  EXPECT_NEAR(pi[0], 5.0 / 6.0, 1e-14);
+  EXPECT_NEAR(pi[1], 1.0 / 6.0, 1e-14);
 }
 
 TEST(Dtmc, BuildRejectsBadRows) {

@@ -1,17 +1,18 @@
-// Solver resilience layer: GTH correctness, health checks, ladder
-// behaviour (budgets, deadlines, escalation on genuinely sick inputs),
-// and the documented per-method SolveError causes.
+// Solver resilience layer: GTH correctness against closed forms, health
+// checks, the single-solve episode (budgets, stop tokens, the causes of a
+// failed solve) and the DTMC / SMP / MTTF wrappers.
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/baselines.hpp"
 #include "markov/absorbing.hpp"
 #include "markov/dtmc.hpp"
 #include "markov/steady_state.hpp"
+#include "mg/generator.hpp"
 #include "resilience/fault_injection.hpp"
-#include "resilience/gth.hpp"
 #include "resilience/health.hpp"
 #include "resilience/resilience.hpp"
 #include "semimarkov/smp.hpp"
@@ -21,8 +22,7 @@ namespace {
 using rascad::linalg::Vector;
 using rascad::markov::Ctmc;
 using rascad::markov::CtmcBuilder;
-using rascad::markov::SteadyStateMethod;
-using rascad::markov::SteadyStateOptions;
+using rascad::markov::gth_stationary;
 using namespace rascad::resilience;
 
 /// Two-state up/down availability chain: pi = (mu, lambda) / (lambda + mu).
@@ -49,8 +49,7 @@ Ctmc repair_chain() {
   return b.build();
 }
 
-/// Two disconnected 2-cycles: no unique stationary distribution, so the
-/// replaced-row direct system is singular.
+/// Two disconnected 2-cycles: no unique stationary distribution.
 Ctmc disconnected_chain() {
   CtmcBuilder b;
   const auto a0 = b.add_state("a0", 1.0);
@@ -85,20 +84,20 @@ double max_rel_err(const Vector& got, const Vector& want) {
 // ---------------------------------------------------------------- GTH ----
 
 TEST(Gth, MatchesAnalyticTwoState) {
-  const Vector pi = gth_stationary(up_down_chain(1.0, 9.0));
+  const Vector pi = gth_stationary(up_down_chain(1.0, 9.0).generator());
   ASSERT_EQ(pi.size(), 2u);
   EXPECT_NEAR(pi[0], 0.9, 1e-14);
   EXPECT_NEAR(pi[1], 0.1, 1e-14);
 }
 
-TEST(Gth, MatchesDirectOnRepairChain) {
-  const Ctmc chain = repair_chain();
-  const Vector direct = rascad::markov::solve_steady_state(chain).pi;
-  const Vector gth = gth_stationary(chain);
-  EXPECT_LT(max_rel_err(gth, direct), 1e-12);
+TEST(Gth, MatchesBalanceEquationsOnRepairChain) {
+  // Balance: 10 pi(down) = pi(degraded), 2 pi(ok) = 6 pi(degraded).
+  const Vector pi = gth_stationary(repair_chain().generator());
+  EXPECT_LT(max_rel_err(pi, {3.0 / 4.1, 1.0 / 4.1, 0.1 / 4.1}), 1e-14);
 }
 
-TEST(Gth, DtmcStationaryMatchesDirect) {
+TEST(Gth, DtmcStationaryMatchesBalanceEquations) {
+  // pi(b) = 0.7 pi(a), pi(c) = 0.3 pi(a) + 0.6 pi(b) = 0.72 pi(a).
   rascad::markov::DtmcBuilder b;
   b.add_state("a");
   b.add_state("b");
@@ -108,43 +107,78 @@ TEST(Gth, DtmcStationaryMatchesDirect) {
   b.add_transition(1, 0, 0.4);
   b.add_transition(1, 2, 0.6);
   b.add_transition(2, 0, 1.0);
-  const rascad::markov::Dtmc dtmc = b.build();
-  EXPECT_LT(max_rel_err(gth_stationary(dtmc), dtmc.stationary()), 1e-12);
+  const Vector want{1.0 / 2.42, 0.7 / 2.42, 0.72 / 2.42};
+  EXPECT_LT(max_rel_err(b.build().stationary(), want), 1e-14);
 }
 
 TEST(Gth, ReducibleChainThrowsInvalidInput) {
-  try {
-    gth_stationary(absorbing_chain());
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
+  for (const Ctmc& chain : {absorbing_chain(), disconnected_chain()}) {
+    try {
+      gth_stationary(chain.generator());
+      FAIL() << "expected SolveError";
+    } catch (const SolveError& e) {
+      EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
+    }
   }
 }
 
-// The acceptance chain: componentwise-accurate on a stiff birth-death
-// chain whose stationary masses span `spread` orders of magnitude. The
-// analytic reference comes from detailed balance.
+/// Stationary vector of a birth-death chain from detailed balance,
+/// pi(i+1) = pi(i) * birth(i) / death(i), accumulated in long double.
+Vector detailed_balance(const std::vector<long double>& ratio) {
+  std::vector<long double> raw(ratio.size() + 1, 1.0L);
+  long double mass = 1.0L;
+  for (std::size_t i = 0; i < ratio.size(); ++i) {
+    raw[i + 1] = raw[i] * ratio[i];
+    mass += raw[i + 1];
+  }
+  Vector pi(raw.size());
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    pi[i] = static_cast<double>(raw[i] / mass);
+  }
+  return pi;
+}
+
+// Componentwise-accurate on a stiff birth-death chain whose stationary
+// masses span `spread` orders of magnitude.
 TEST(Gth, ComponentwiseAccurateOnIllConditionedChain) {
   const double spread = 1e6;
   const Ctmc chain = ill_conditioned_chain(3, spread);
-  Vector exact(chain.size(), 0.0);
-  // Detailed balance: pi_{i+1} = pi_i * rate(i->i+1) / rate(i+1->i).
-  long double mass = 1.0L;
-  std::vector<long double> raw(chain.size());
-  raw[0] = 1.0L;
-  for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-    const long double ratio = (i % 2 == 0) ? spread : 1.0L / spread;
-    raw[i + 1] = raw[i] * ratio;
-    mass += raw[i + 1];
+  std::vector<long double> ratio(chain.size() - 1);
+  for (std::size_t i = 0; i < ratio.size(); ++i) {
+    ratio[i] = (i % 2 == 0) ? spread : 1.0L / spread;
   }
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    exact[i] = static_cast<double>(raw[i] / mass);
-  }
-  const Vector gth = gth_stationary(chain);
-  EXPECT_LT(max_rel_err(gth, exact), 1e-12);
+  EXPECT_LT(max_rel_err(gth_stationary(chain.generator()),
+                        detailed_balance(ratio)),
+            1e-14);
+}
 
-  const Vector direct = rascad::markov::solve_steady_state(chain).pi;
-  EXPECT_LT(max_rel_err(gth, direct), 1e-10);
+// Birth-death availability chain i -> i+1 at rho, i+1 -> i at 1, the last
+// state down: pi(i) is proportional to rho^i, so the unavailability
+// pi(n-1) is as small as rho^(n-1). Both the markov solver and the
+// production entry point must get every state, the down state included, to
+// full relative precision.
+TEST(SteadyState, ComponentwiseAccurateOnBirthDeathChain) {
+  constexpr std::size_t kStates = 20;
+  for (const double rho : {1e-3, 0.1}) {
+    CtmcBuilder b;
+    for (std::size_t i = 0; i < kStates; ++i) {
+      b.add_state("s" + std::to_string(i), i + 1 < kStates ? 1.0 : 0.0);
+    }
+    for (std::size_t i = 0; i + 1 < kStates; ++i) {
+      b.add_transition(i, i + 1, rho);
+      b.add_transition(i + 1, i, 1.0);
+    }
+    const Ctmc chain = b.build();
+    const Vector exact =
+        detailed_balance(std::vector<long double>(kStates - 1, rho));
+    EXPECT_LT(max_rel_err(rascad::markov::solve_steady_state(chain).pi,
+                          exact),
+              1e-14)
+        << "rho " << rho;
+    const Vector pi = solve_steady_state_resilient(chain).result.pi;
+    EXPECT_LT(max_rel_err(pi, exact), 1e-14) << "rho " << rho;
+    EXPECT_GT(pi.back(), 0.0) << "rho " << rho;
+  }
 }
 
 // ------------------------------------------------------- health checks ----
@@ -199,69 +233,39 @@ TEST(Health, ResidualRecheckAcceptsTrueStationary) {
   EXPECT_TRUE(r.ok) << r.detail;
 }
 
-TEST(Health, ConditionEstimateNearOneForIdentity) {
-  rascad::linalg::DenseMatrix eye(3, 3, 0.0);
-  for (std::size_t i = 0; i < 3; ++i) eye(i, i) = 1.0;
-  const double norm = dense_norm_1(eye);
-  const rascad::linalg::LuFactorization lu(eye);
-  const double cond = condition_estimate_1(lu, norm);
-  EXPECT_NEAR(cond, 1.0, 1e-12);
-}
+// ------------------------------------------------------- single solve ----
 
-// --------------------------------------------------------------- ladder ----
-
-TEST(Ladder, HealthyPathIsSingleDirectAttempt) {
-  const ResilientResult r =
-      solve_steady_state_resilient(up_down_chain(1.0, 9.0));
-  EXPECT_TRUE(r.trace.success);
-  EXPECT_EQ(r.trace.final_rung, Rung::kDirect);
-  ASSERT_EQ(r.trace.attempts.size(), 1u);
-  EXPECT_EQ(r.trace.escalations(), 0u);
-  EXPECT_GT(r.trace.attempts[0].condition_estimate, 0.0);
-  EXPECT_NEAR(r.result.pi[0], 0.9, 1e-12);
-  EXPECT_NE(r.trace.summary().find("direct ok"), std::string::npos);
-}
-
-// The tentpole acceptance scenario: under a capped iteration budget both
-// SOR (needs ~590 sweeps on this 17-state chain) and Power (step size
-// ~1/spread on the uniformized DTMC) genuinely fail to converge; GTH
-// recovers with the exact answer.
-TEST(Ladder, IterativeRungsFailOnStiffChainGthRecovers) {
-  const Ctmc chain = ill_conditioned_chain(8, 1e9);
-  ResilienceConfig config;
-  config.rungs = {Rung::kSor, Rung::kPower, Rung::kGth};
-  config.base.max_iterations = 300;
-  const ResilientResult r = solve_steady_state_resilient(chain, config);
+TEST(Solve, HealthyPathIsSingleGthAttempt) {
+  const Ctmc chain = repair_chain();
+  const ResilientResult r = solve_steady_state_resilient(chain);
   EXPECT_TRUE(r.trace.success);
   EXPECT_EQ(r.trace.final_rung, Rung::kGth);
-  ASSERT_EQ(r.trace.attempts.size(), 3u);
-  EXPECT_FALSE(r.trace.attempts[0].success);
-  EXPECT_FALSE(r.trace.attempts[1].success);
-  EXPECT_TRUE(r.trace.attempts[2].success);
-  EXPECT_EQ(r.trace.attempts[0].cause, SolveCause::kNonConverged);
-  EXPECT_EQ(r.trace.attempts[1].cause, SolveCause::kNonConverged);
-
-  const Vector direct = rascad::markov::solve_steady_state(chain).pi;
-  EXPECT_LT(max_rel_err(r.result.pi, direct), 1e-10);
+  ASSERT_EQ(r.trace.attempts.size(), 1u);
+  EXPECT_EQ(r.trace.escalations(), 0u);
+  EXPECT_EQ(r.trace.total_iterations(), chain.size() - 1);
+  EXPECT_EQ(r.result.residual, r.trace.attempts[0].residual_check);
+  EXPECT_LT(max_rel_err(r.result.pi, {3.0 / 4.1, 1.0 / 4.1, 0.1 / 4.1}),
+            1e-14);
+  EXPECT_NE(r.trace.summary().find("gth ok"), std::string::npos);
 }
 
-TEST(Ladder, StructurallyUnusableInputFailsAllRungs) {
-  // A chain with an absorbing state has no unique stationary distribution;
-  // GTH detects the missing outflow, so a GTH-only ladder fails outright
-  // with a structured error that embeds the episode.
-  ResilienceConfig config;
-  config.rungs = {Rung::kGth};
-  try {
-    solve_steady_state_resilient(absorbing_chain(), config);
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
-    EXPECT_NE(std::string(e.what()).find("all rungs failed"),
-              std::string::npos);
+TEST(Solve, ReducibleChainIsInvalidInput) {
+  // No unique stationary distribution: GTH finds a state without outflow
+  // to the states not yet eliminated. The error embeds the episode.
+  for (const Ctmc& chain : {absorbing_chain(), disconnected_chain()}) {
+    try {
+      solve_steady_state_resilient(chain);
+      FAIL() << "expected SolveError";
+    } catch (const SolveError& e) {
+      EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
+      EXPECT_NE(std::string(e.what()).find("gth failed (invalid-input)"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
-TEST(Ladder, StateBudgetRefusedUpFront) {
+TEST(Solve, StateBudgetIsBudgetExceeded) {
   ResilienceConfig config;
   config.max_states = 2;
   try {
@@ -272,115 +276,33 @@ TEST(Ladder, StateBudgetRefusedUpFront) {
   }
 }
 
-TEST(Ladder, DeadlineCheckedBetweenRungs) {
-  ResilienceConfig config;
-  // Expires during the first rung.
-  config.base.cancel = rascad::robust::CancelToken::with_deadline_ms(1e-9);
-  config.fault_plan.fail(Rung::kDirect, FaultKind::kThrowNonConverged);
-  try {
-    solve_steady_state_resilient(repair_chain(), config);
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kDeadlineExceeded);
+TEST(Solve, StoppedTokenIsCancelledOrDeadlineExceeded) {
+  ResilienceConfig cancelled;
+  cancelled.base.cancel = rascad::robust::CancelToken::manual();
+  cancelled.base.cancel.request_cancel();
+  ResilienceConfig expired;
+  expired.base.cancel = rascad::robust::CancelToken::with_deadline_ms(1e-9);
+  for (const auto& [config, cause] :
+       {std::pair{cancelled, SolveCause::kCancelled},
+        std::pair{expired, SolveCause::kDeadlineExceeded}}) {
+    try {
+      solve_steady_state_resilient(repair_chain(), config);
+      FAIL() << "expected SolveError";
+    } catch (const SolveError& e) {
+      EXPECT_EQ(e.cause(), cause);
+      EXPECT_EQ(e.iterations(), 0u);  // stopped before the first elimination
+    }
+    EXPECT_TRUE(config.base.cancel.observed());
   }
 }
 
-TEST(Ladder, ConfigFromPutsRequestedMethodFirst) {
-  SteadyStateOptions opts;
-  opts.method = SteadyStateMethod::kSor;
-  const ResilienceConfig config = config_from(opts);
-  ASSERT_FALSE(config.rungs.empty());
-  EXPECT_EQ(config.rungs.front(), Rung::kSor);
-  // The remaining default rungs are still behind it, ending in GTH.
-  EXPECT_EQ(config.rungs.back(), Rung::kGth);
-  EXPECT_EQ(config.rungs.size(), 5u);
-}
-
-TEST(Ladder, SingleStateChainTrivialEpisode) {
+TEST(Solve, SingleStateChainTrivialEpisode) {
   CtmcBuilder b;
   b.add_state("only", 1.0);
   const ResilientResult r = solve_steady_state_resilient(b.build());
   EXPECT_TRUE(r.trace.success);
   ASSERT_EQ(r.result.pi.size(), 1u);
   EXPECT_DOUBLE_EQ(r.result.pi[0], 1.0);
-}
-
-// ------------------------------------------- documented method causes ----
-
-TEST(SteadyStateCauses, DirectSingularOnDisconnectedChain) {
-  try {
-    rascad::markov::solve_steady_state(disconnected_chain());
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kSingular);
-  }
-}
-
-TEST(SteadyStateCauses, SorInvalidInputOnAbsorbingState) {
-  SteadyStateOptions opts;
-  opts.method = SteadyStateMethod::kSor;
-  try {
-    rascad::markov::solve_steady_state(absorbing_chain(), opts);
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
-  }
-}
-
-TEST(SteadyStateCauses, SorNonConvergedWhenBudgetTiny) {
-  SteadyStateOptions opts;
-  opts.method = SteadyStateMethod::kSor;
-  opts.max_iterations = 2;
-  try {
-    rascad::markov::solve_steady_state(ill_conditioned_chain(3, 1e8), opts);
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kNonConverged);
-    EXPECT_EQ(e.iterations(), 2u);
-  }
-}
-
-TEST(SteadyStateCauses, PowerNonConvergedWhenBudgetTiny) {
-  SteadyStateOptions opts;
-  opts.method = SteadyStateMethod::kPower;
-  opts.max_iterations = 1;
-  try {
-    rascad::markov::solve_steady_state(repair_chain(), opts);
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kNonConverged);
-  }
-}
-
-TEST(SteadyStateCauses, BiCgStabInvalidInputOnAbsorbingState) {
-  // The absorbing state must not be the last one: the replaced
-  // normalization row would otherwise hide its zero diagonal.
-  CtmcBuilder b;
-  const auto up = b.add_state("up", 1.0);
-  const auto dead = b.add_state("dead", 0.0);
-  const auto spare = b.add_state("spare", 1.0);
-  b.add_transition(up, dead, 1.0);
-  b.add_transition(spare, up, 1.0);
-  SteadyStateOptions opts;
-  opts.method = SteadyStateMethod::kBiCgStab;
-  try {
-    rascad::markov::solve_steady_state(b.build(), opts);
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
-  }
-}
-
-TEST(SteadyStateCauses, BiCgStabNonConvergedWhenBudgetTiny) {
-  SteadyStateOptions opts;
-  opts.method = SteadyStateMethod::kBiCgStab;
-  opts.max_iterations = 1;
-  try {
-    rascad::markov::solve_steady_state(ill_conditioned_chain(4, 1e8), opts);
-    FAIL() << "expected SolveError";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kNonConverged);
-  }
 }
 
 // ------------------------------------------------------ other wrappers ----
@@ -392,10 +314,10 @@ TEST(Wrappers, DtmcStationaryResilient) {
   b.add_transition(0, 1, 1.0);
   b.add_transition(1, 0, 0.5);
   b.add_transition(1, 1, 0.5);
-  const rascad::markov::Dtmc dtmc = b.build();
-  const ResilientResult r = stationary_resilient(dtmc);
+  const ResilientResult r = stationary_resilient(b.build());
   EXPECT_TRUE(r.trace.success);
-  EXPECT_LT(max_rel_err(r.result.pi, dtmc.stationary()), 1e-12);
+  // pi(a) = 0.5 pi(b).
+  EXPECT_LT(max_rel_err(r.result.pi, {1.0 / 3.0, 2.0 / 3.0}), 1e-14);
 }
 
 TEST(Wrappers, SmpSteadyStateResilient) {
@@ -418,7 +340,8 @@ TEST(Wrappers, MttfResilientMatchesAnalytic) {
   SolveTrace trace;
   const double mttf = mttf_resilient(chain, 0, ResilienceConfig{}, &trace);
   EXPECT_TRUE(trace.success);
-  EXPECT_NEAR(mttf, 1.0 / lambda, 1e-9);
+  EXPECT_EQ(trace.final_rung, Rung::kGth);
+  EXPECT_NEAR(mttf, 1.0 / lambda, 1e-14 / lambda);
 }
 
 TEST(Wrappers, MttfResilientMatchesAbsorbingAnalysis) {
@@ -427,7 +350,38 @@ TEST(Wrappers, MttfResilientMatchesAbsorbingAnalysis) {
       rascad::markov::make_down_states_absorbing(chain);
   const rascad::markov::AbsorbingAnalysis analysis(rel);
   const double want = analysis.mean_time_to_absorption(0);
-  EXPECT_NEAR(mttf_resilient(chain, 0), want, 1e-9 * want);
+  EXPECT_NEAR(mttf_resilient(chain, 0), want, 1e-12 * want);
+}
+
+// Transparent 1-of-N blocks (Type 1) are birth-death chains on the number
+// of failed units: N - i units fail at 1/MTBF each, one deferred repair
+// (MTTM + response + MTTR) at a time. Their MTTFs reach 2e31 h, where an
+// absolute pivot floor or residual bound breaks an LU or iterative solve.
+TEST(Wrappers, MttfOfRedundantBlocksMatchesBirthDeathRecurrence) {
+  rascad::spec::GlobalParams globals;
+  for (const unsigned n : {2u, 3u, 4u, 6u, 8u}) {
+    for (const double mtbf_h : {1e4, 1e5, 1e6}) {
+      rascad::spec::BlockSpec block;
+      block.name = "unit";
+      block.quantity = n;
+      block.min_quantity = 1;
+      block.mtbf_h = mtbf_h;
+      block.mttr_corrective_min = 60.0;
+      block.service_response_h = 4.0;
+      block.recovery = rascad::spec::Transparency::kTransparent;
+      block.repair = rascad::spec::Transparency::kTransparent;
+      const rascad::mg::GeneratedModel model =
+          rascad::mg::generate(block, globals);
+      std::vector<double> birth(n);
+      const std::vector<double> death(
+          n, 1.0 / (globals.mttm_h + block.service_response_h + 1.0));
+      for (unsigned i = 0; i < n; ++i) birth[i] = (n - i) / mtbf_h;
+      const double want = rascad::baselines::birth_death_mttf(birth, death);
+      const double got = mttf_resilient(model.chain, model.initial);
+      EXPECT_NEAR(got, want, 1e-14 * want)
+          << "N " << n << ", MTBF " << mtbf_h;
+    }
+  }
 }
 
 TEST(Wrappers, MttfResilientRejectsOutOfRangeInitialState) {
@@ -449,6 +403,27 @@ TEST(Wrappers, MttfZeroWhenChainCannotFail) {
   b.add_transition(0, 1, 1.0);
   b.add_transition(1, 0, 1.0);
   EXPECT_DOUBLE_EQ(mttf_resilient(b.build(), 0), 0.0);
+}
+
+TEST(Wrappers, MttfInvalidInputWhenFailureIsNotCertain) {
+  // From "up", the chain may settle in the closed up class {a, b} and
+  // never fail: the MTTF is infinite.
+  CtmcBuilder b;
+  const auto up = b.add_state("up", 1.0);
+  const auto a = b.add_state("a", 1.0);
+  const auto c = b.add_state("b", 1.0);
+  const auto down = b.add_state("down", 0.0);
+  b.add_transition(up, a, 1.0);
+  b.add_transition(up, down, 1.0);
+  b.add_transition(a, c, 1.0);
+  b.add_transition(c, a, 1.0);
+  b.add_transition(down, up, 1.0);
+  try {
+    mttf_resilient(b.build(), up);
+    FAIL() << "expected SolveError";
+  } catch (const SolveError& e) {
+    EXPECT_EQ(e.cause(), SolveCause::kInvalidInput);
+  }
 }
 
 }  // namespace

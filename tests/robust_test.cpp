@@ -25,7 +25,6 @@
 #include "mg/generator.hpp"
 #include "mg/measures.hpp"
 #include "mg/system.hpp"
-#include "resilience/fault_injection.hpp"
 #include "resilience/resilience.hpp"
 #include "robust/cancel.hpp"
 #include "robust/watchdog.hpp"
@@ -198,14 +197,53 @@ TEST(PointStatusTaxonomy, StringRoundTripAndExceptionFolding) {
   EXPECT_NE(generic.second.find("boom"), std::string::npos);
 }
 
-// ------------------------------------------------------------- ladder ----
+// ------------------------------------------------------ solve episode ----
+// The cancellable loop is the GTH elimination, which polls the token once
+// per workspace row and once per eliminated state. The deep Type 4 chain (893 states) fills in as it
+// is eliminated, so one solve takes milliseconds; a birth-death chain
+// would eliminate in O(n) and finish before any canceller woke up.
 
-TEST(Ladder, UncancelledRunBitwiseIdenticalToTokenFreeRun) {
-  const Ctmc chain = ill_conditioned_chain(20, 1e4);
-  ResilienceConfig bare;
-  bare.rungs = {Rung::kPower};
-  bare.base.tolerance = 1e-12;
-  bare.base.max_iterations = 10'000'000;
+Ctmc deep_chain() {
+  rascad::spec::BlockSpec b;
+  b.name = "deep";
+  b.quantity = 128;
+  b.min_quantity = 1;
+  b.mtbf_h = 100'000.0;
+  b.transient_fit = 2'000.0;
+  b.mttr_corrective_min = 45.0;
+  b.service_response_h = 4.0;
+  b.p_correct_diagnosis = 0.95;
+  b.p_latent_fault = 0.05;
+  b.mttdlf_h = 48.0;
+  b.recovery = rascad::spec::Transparency::kNontransparent;
+  b.ar_time_min = 6.0;
+  b.p_spf = 0.01;
+  b.t_spf_min = 30.0;
+  b.repair = rascad::spec::Transparency::kNontransparent;
+  b.reintegration_min = 8.0;
+  return rascad::mg::generate(b, rascad::spec::GlobalParams{}).chain;
+}
+
+/// Solves `chain` under `config` until an attempt throws (a token that
+/// fires between two solves is seen by the next one's first poll), at most
+/// `max_solves` times.
+SolveError solve_until_stopped(const Ctmc& chain,
+                               const ResilienceConfig& config,
+                               int max_solves = 10'000) {
+  for (int i = 0; i < max_solves; ++i) {
+    try {
+      (void)solve_steady_state_resilient(chain, config);
+    } catch (const SolveError& e) {
+      return e;
+    }
+  }
+  ADD_FAILURE() << "token never stopped the solve";
+  return SolveError(SolveCause::kInvalidInput, "test", "not stopped");
+}
+
+TEST(Episode, UncancelledRunBitwiseIdenticalToTokenFreeRun) {
+  const Ctmc chain = deep_chain();
+  const ResilienceConfig bare;
   const ResilientResult a = solve_steady_state_resilient(chain, bare);
 
   ResilienceConfig armed = bare;
@@ -216,66 +254,46 @@ TEST(Ladder, UncancelledRunBitwiseIdenticalToTokenFreeRun) {
   for (std::size_t i = 0; i < a.result.pi.size(); ++i) {
     EXPECT_EQ(a.result.pi[i], b.result.pi[i]) << "state " << i;
   }
-  EXPECT_EQ(a.result.iterations, b.result.iterations);
+  EXPECT_EQ(a.trace.total_iterations(), chain.size() - 1);
+  EXPECT_EQ(a.trace.total_iterations(), b.trace.total_iterations());
   EXPECT_EQ(a.result.residual, b.result.residual);
 }
 
-TEST(Ladder, CancelledMidSolveThrowsCancelled) {
-  const Ctmc chain = ill_conditioned_chain(100, 1e7);
+TEST(Episode, CancelledMidSolveThrowsCancelled) {
+  const Ctmc chain = deep_chain();
   ResilienceConfig config;
-  config.rungs = {Rung::kPower};
-  config.base.tolerance = 1e-16;  // unreachable: runs until cancelled
-  config.base.max_iterations = 500'000'000;
   config.base.cancel = CancelToken::manual();
   std::thread canceller([token = config.base.cancel] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     token.request_cancel();
   });
-  try {
-    (void)solve_steady_state_resilient(chain, config);
-    canceller.join();
-    FAIL() << "expected SolveError(kCancelled)";
-  } catch (const SolveError& e) {
-    canceller.join();
-    EXPECT_EQ(e.cause(), SolveCause::kCancelled);
-  }
-  // The iteration-loop checkpoint observed the stop promptly.
+  const SolveError e = solve_until_stopped(chain, config);
+  canceller.join();
+  EXPECT_EQ(e.cause(), SolveCause::kCancelled);
+  EXPECT_LT(e.iterations(), chain.size() - 1);
+  // The elimination's checkpoints observed the stop promptly.
   EXPECT_TRUE(config.base.cancel.observed());
   EXPECT_GE(config.base.cancel.observed_latency_ms(), 0.0);
   EXPECT_LT(config.base.cancel.observed_latency_ms(), 250.0);
 }
 
-TEST(Ladder, DeadlineExpiryMidLadderAbortsWithDeadlineCause) {
-  // The episode deadline fires while a stiff power solve is running: the
-  // ladder must abort with kDeadlineExceeded instead of escalating to the
-  // remaining rungs.
-  const Ctmc chain = ill_conditioned_chain(100, 1e7);
+TEST(Episode, DeadlineExpiryMidSolveAbortsWithDeadlineCause) {
   ResilienceConfig config;
-  config.rungs = {Rung::kPower, Rung::kGth};
-  config.base.tolerance = 1e-16;
-  config.base.max_iterations = 500'000'000;
   config.base.cancel = CancelToken::with_deadline_ms(10.0);
-  try {
-    (void)solve_steady_state_resilient(chain, config);
-    FAIL() << "expected SolveError(kDeadlineExceeded)";
-  } catch (const SolveError& e) {
-    EXPECT_EQ(e.cause(), SolveCause::kDeadlineExceeded);
-  }
+  const SolveError e = solve_until_stopped(deep_chain(), config);
+  EXPECT_EQ(e.cause(), SolveCause::kDeadlineExceeded);
 }
 
 // ------------------------------------------------- cancel plumbing ----
-// The caller's own SteadyStateOptions::cancel must reach the ladder through
+// The caller's own SteadyStateOptions::cancel must reach the solve through
 // every entry point that derives a ResilienceConfig from it.
 
 TEST(CancelPlumbing, ConfigFromCarriesSteadyToken) {
-  const Ctmc chain = ill_conditioned_chain(100, 1e7);
   rascad::markov::SteadyStateOptions opts;
-  opts.method = rascad::markov::SteadyStateMethod::kPower;
-  opts.max_iterations = 200'000;
   opts.cancel = CancelToken::manual();
   opts.cancel.request_cancel();
   try {
-    (void)solve_steady_state_resilient(chain, config_from(opts));
+    (void)solve_steady_state_resilient(deep_chain(), config_from(opts));
     FAIL() << "expected SolveError(kCancelled)";
   } catch (const SolveError& e) {
     EXPECT_EQ(e.cause(), SolveCause::kCancelled);
@@ -316,24 +334,20 @@ TEST(CancelPlumbing, WorkspaceAvailabilityHonoursSteadyToken) {
   }
 }
 
-TEST(CancelPlumbing, ResolveConfigJoinsEveryToken) {
+TEST(CancelPlumbing, ConfigFromJoinsEveryToken) {
   // No token anywhere: the healthy path stays token-free.
-  EXPECT_FALSE(resolve_config(std::nullopt, {}).base.cancel.valid());
+  EXPECT_FALSE(config_from({}).base.cancel.valid());
 
-  // Whichever of the override's, the steady options' or the loop's token
-  // stops, the resolved episode stops, while the other two stay live.
-  for (int source = 0; source < 3; ++source) {
+  // Whichever of the steady options' or the loop's token stops, the
+  // episode stops, while the other stays live.
+  for (int source = 0; source < 2; ++source) {
     const CancelToken stopped = CancelToken::manual();
-    ResilienceConfig override_config;
-    override_config.base.cancel = CancelToken::manual();
     rascad::markov::SteadyStateOptions steady;
     steady.cancel = CancelToken::manual();
     CancelToken loop = CancelToken::manual();
-    if (source == 0) override_config.base.cancel = stopped;
-    if (source == 1) steady.cancel = stopped;
-    if (source == 2) loop = stopped;
-    const ResilienceConfig config =
-        resolve_config(override_config, steady, loop);
+    if (source == 0) steady.cancel = stopped;
+    if (source == 1) loop = stopped;
+    const ResilienceConfig config = config_from(steady, loop);
     EXPECT_FALSE(config.base.cancel.stop_requested()) << source;
     stopped.request_cancel();
     EXPECT_TRUE(config.base.cancel.stop_requested()) << source;
@@ -346,8 +360,8 @@ TEST(CancelPlumbing, ResolveConfigJoinsEveryToken) {
   const CancelToken loop = CancelToken::manual();
   loop.request_cancel();
   try {
-    (void)solve_steady_state_resilient(
-        repair_chain(), resolve_config(std::nullopt, steady, loop));
+    (void)solve_steady_state_resilient(repair_chain(),
+                                       config_from(steady, loop));
     FAIL() << "expected SolveError(kCancelled)";
   } catch (const SolveError& e) {
     EXPECT_EQ(e.cause(), SolveCause::kCancelled);
@@ -418,16 +432,15 @@ TEST(ParallelStatusLoop, ThrowingVariantRaisesOnSkippedWork) {
 
 TEST(DegradedSweep, DeadlineBoundedSweepReturnsCompletedPrefix) {
   // Each fresh point costs real solver work: the swept Boot Disk becomes
-  // a 32-unit redundant block (127 states) solved by power iteration
-  // alone, a few thousand iterations per point (~3 ms on a 4-core x86
-  // host) that the deadline interrupts at the solver's checkpoints. The
-  // baseline MTBF is the first sweep value, so point 0 reuses the
-  // pre-warmed solve and lands inside the deadline on any build,
-  // sanitizer builds included.
+  // a 128-unit redundant block (511 states), a GTH elimination of ~1.6 ms
+  // per point on a 4-core x86 host that the deadline interrupts at its
+  // checkpoints. The baseline MTBF is the first sweep value, so point 0
+  // reuses the pre-warmed solve and lands inside the deadline on any
+  // build, sanitizer builds included.
   rascad::spec::ModelSpec spec = rascad::core::library::entry_server();
   rascad::spec::BlockSpec& disk =
       *spec.find_block("Entry Server", "Boot Disk");
-  disk.quantity = 32;
+  disk.quantity = 128;
   disk.ar_time_min = 6.0;
   disk.reintegration_min = 8.0;
   disk.mtbf_h = 1e5;
@@ -436,10 +449,7 @@ TEST(DegradedSweep, DeadlineBoundedSweepReturnsCompletedPrefix) {
   rascad::mg::SystemModel::Options model_opts;
   model_opts.cache = &cache;
   model_opts.parallel.threads = 1;
-  ResilienceConfig power_only;
-  power_only.rungs = {Rung::kPower};
-  model_opts.resilience = power_only;
-  // Pre-warm the baseline so each point costs one fresh power solve.
+  // Pre-warm the baseline so each point costs one fresh solve.
   (void)rascad::mg::SystemModel::build(spec, model_opts);
 
   rascad::core::SweepOptions opts;
