@@ -1,15 +1,10 @@
-// E10 — numerical-method ablation ("solved using numerical methods",
-// Section 1): google-benchmark timings of the GTH steady-state solver
-// against dense LU on the replaced-row system (the textbook direct method,
-// kept here as the comparison) on generated chains of growing size, plus
-// uniformization cost vs horizon. Accuracy against closed forms is
-// asserted by the test suite; this binary measures cost.
+// E10 — numerical-method cost ("solved using numerical methods",
+// Section 1): google-benchmark timings of the GTH steady-state solver on
+// generated chains of growing size, plus uniformization cost vs horizon.
+// Accuracy against closed forms is asserted by the test suite; this binary
+// measures cost.
 #include <benchmark/benchmark.h>
 
-#include <utility>
-
-#include "linalg/lu.hpp"
-#include "markov/ode.hpp"
 #include "markov/steady_state.hpp"
 #include "markov/transient.hpp"
 #include "mg/generator.hpp"
@@ -69,25 +64,6 @@ void BM_SolveGth(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveGth)->Arg(2)->Arg(16)->Arg(64)->Arg(128);
 
-/// The textbook direct method, for comparison: Q^T pi = 0 with its last
-/// equation replaced by sum(pi) = 1 (the other n - 1 rows are Q^T's own),
-/// densified and solved by partial-pivoting LU.
-void BM_SolveLuReplacedRow(benchmark::State& state) {
-  const auto model = chain_of_depth(static_cast<unsigned>(state.range(0)));
-  const std::size_t n = model.chain.size();
-  rascad::linalg::Vector b(n, 0.0);
-  b[n - 1] = 1.0;
-  for (auto _ : state) {
-    rascad::linalg::DenseMatrix a =
-        model.chain.generator().transposed().to_dense();
-    for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
-    auto pi = rascad::linalg::lu_solve(std::move(a), b);
-    benchmark::DoNotOptimize(pi.data());
-  }
-  state.counters["states"] = static_cast<double>(n);
-}
-BENCHMARK(BM_SolveLuReplacedRow)->Arg(2)->Arg(16)->Arg(64)->Arg(128);
-
 void BM_Uniformization(benchmark::State& state) {
   const auto model = chain_of_depth(4);
   const auto pi0 = rascad::markov::point_mass(model.chain, model.initial);
@@ -100,24 +76,6 @@ void BM_Uniformization(benchmark::State& state) {
   state.counters["horizon_h"] = horizon;
 }
 BENCHMARK(BM_Uniformization)->Arg(24)->Arg(720)->Arg(8760);
-
-// Transient ablation: uniformization vs the explicit RKF45 integrator on
-// the same stiff generated chain. The step counter shows why analytic
-// availability tools standardize on uniformization.
-void BM_TransientOde(benchmark::State& state) {
-  const auto model = chain_of_depth(4);
-  const auto pi0 = rascad::markov::point_mass(model.chain, model.initial);
-  const double horizon = static_cast<double>(state.range(0));
-  std::size_t steps = 0;
-  for (auto _ : state) {
-    const auto r = rascad::markov::transient_distribution_ode(model.chain,
-                                                              pi0, horizon);
-    steps = r.steps;
-    benchmark::DoNotOptimize(r.distribution.data());
-  }
-  state.counters["rk_steps"] = static_cast<double>(steps);
-}
-BENCHMARK(BM_TransientOde)->Arg(24)->Arg(720);
 
 void BM_TransientUniformization(benchmark::State& state) {
   const auto model = chain_of_depth(4);

@@ -83,19 +83,17 @@ void write_report(std::ostream& os, const mg::SystemModel& system,
 
   if (opts.include_solver_trace) {
     heading(os, "Solver resilience");
-    os << "| diagram | block | rung | attempts | residual check | episode "
-          "|\n|---|---|---|---|---|---|\n";
+    os << "| diagram | block | attempts | residual check | episode "
+          "|\n|---|---|---|---|---|\n";
     for (const auto& b : system.blocks()) {
       const resilience::SolveTrace& t = b.solve_trace;
-      const std::string rung =
-          t.success ? resilience::to_string(t.final_rung) : "(failed)";
       std::ostringstream residual;
       if (!t.attempts.empty()) {
         residual << std::scientific << std::setprecision(2)
                  << t.attempts.back().residual_check;
       }
-      os << "| " << b.diagram << " | " << b.block.name << " | " << rung
-         << " | " << t.attempts.size() << " | " << residual.str() << " | "
+      os << "| " << b.diagram << " | " << b.block.name << " | "
+         << t.attempts.size() << " | " << residual.str() << " | "
          << t.summary() << " |\n";
     }
   }

@@ -1,9 +1,9 @@
 // Dense matrix and vector primitives used by the Markov and RBD engines.
 //
-// The matrices arising from generated availability models are small-to-medium
-// (tens to a few thousand states), so a cache-friendly row-major dense matrix
-// plus LU factorization covers the absorption solves; the CSR type in
-// csr.hpp covers generators and the transient path.
+// Generators, the GTH elimination's input and the transient path are CSR
+// (csr.hpp); this header holds the vector type and its norms, plus a small
+// row-major dense matrix that CsrMatrix::to_dense produces for inspection
+// and tests.
 #pragma once
 
 #include <cstddef>

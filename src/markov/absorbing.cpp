@@ -3,7 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/lu.hpp"
+#include "markov/steady_state.hpp"
+#include "resilience/solve_error.hpp"
 
 namespace rascad::markov {
 
@@ -40,109 +41,115 @@ Ctmc make_down_states_absorbing(const Ctmc& chain) {
   return make_absorbing(chain, chain.down_states());
 }
 
-AbsorbingAnalysis::AbsorbingAnalysis(const Ctmc& chain) : chain_(chain) {
-  for (StateIndex i = 0; i < chain.size(); ++i) {
-    if (chain.exit_rate(i) == 0.0) {
-      absorbing_.push_back(i);
-    } else {
-      transient_.push_back(i);
-    }
+bool is_absorbing(const linalg::CsrMatrix& weights, StateIndex i) {
+  const auto row = weights.row(i);
+  for (std::size_t k = 0; k < row.size; ++k) {
+    if (row.cols[k] != i && row.values[k] > 0.0) return false;
   }
-  if (absorbing_.empty()) {
-    throw std::invalid_argument("AbsorbingAnalysis: no absorbing states");
+  return true;
+}
+
+RenewalChain renewal_chain(const linalg::CsrMatrix& weights,
+                           StateIndex initial) {
+  const std::size_t n = weights.rows();
+  if (initial >= n) {
+    throw std::out_of_range("renewal_chain: initial state out of range");
   }
-  if (transient_.empty()) {
-    throw std::invalid_argument("AbsorbingAnalysis: no transient states");
-  }
-  transient_pos_.assign(chain.size(), -1);
-  for (std::size_t k = 0; k < transient_.size(); ++k) {
-    transient_pos_[transient_[k]] = static_cast<std::ptrdiff_t>(k);
+  if (is_absorbing(weights, initial)) {
+    throw std::invalid_argument("renewal_chain: initial state is absorbing");
   }
 
-  // Fundamental matrix N = (-Q_TT)^{-1}; N[i][j] is the expected total time
-  // in transient state j starting from transient state i.
-  const std::size_t m = transient_.size();
-  linalg::DenseMatrix neg_qtt(m, m);
-  const auto& q = chain.generator();
-  for (std::size_t r = 0; r < m; ++r) {
-    const auto row = q.row(transient_[r]);
+  // Transient states reachable from `initial`, in chain order; `pos` maps
+  // a state to its renewal index. Absorbing states stay unreached and map
+  // to the sink A, the last index.
+  constexpr std::ptrdiff_t kUnreached = -1;
+  std::vector<std::ptrdiff_t> pos(n, kUnreached);
+  std::vector<StateIndex> frontier{initial};
+  pos[initial] = 0;
+  while (!frontier.empty()) {
+    const StateIndex i = frontier.back();
+    frontier.pop_back();
+    const auto row = weights.row(i);
     for (std::size_t k = 0; k < row.size; ++k) {
-      const std::ptrdiff_t pos = transient_pos_[row.cols[k]];
-      if (pos >= 0) {
-        neg_qtt(r, static_cast<std::size_t>(pos)) -= row.values[k];
+      const StateIndex j = row.cols[k];
+      if (pos[j] == kUnreached && !is_absorbing(weights, j)) {
+        pos[j] = 0;
+        frontier.push_back(j);
       }
     }
   }
-  linalg::LuFactorization lu(neg_qtt);
-  fundamental_ = linalg::DenseMatrix(m, m);
-  linalg::Vector unit(m, 0.0);
-  for (std::size_t c = 0; c < m; ++c) {
-    unit[c] = 1.0;
-    const linalg::Vector col = lu.solve(unit);
-    unit[c] = 0.0;
-    for (std::size_t r = 0; r < m; ++r) fundamental_(r, c) = col[r];
-  }
-  tau_.assign(m, 0.0);
-  for (std::size_t r = 0; r < m; ++r) {
-    for (std::size_t c = 0; c < m; ++c) tau_[r] += fundamental_(r, c);
-  }
-}
-
-double AbsorbingAnalysis::mean_time_to_absorption(
-    const linalg::Vector& initial) const {
-  if (initial.size() != chain_.size()) {
-    throw std::invalid_argument(
-        "mean_time_to_absorption: initial size mismatch");
-  }
-  double acc = 0.0;
-  for (std::size_t k = 0; k < transient_.size(); ++k) {
-    acc += initial[transient_[k]] * tau_[k];
-  }
-  return acc;
-}
-
-double AbsorbingAnalysis::mean_time_to_absorption(StateIndex start) const {
-  if (start >= chain_.size()) {
-    throw std::out_of_range("mean_time_to_absorption: state out of range");
-  }
-  const std::ptrdiff_t pos = transient_pos_[start];
-  if (pos < 0) return 0.0;  // already absorbed
-  return tau_[static_cast<std::size_t>(pos)];
-}
-
-double AbsorbingAnalysis::absorption_probability(StateIndex start,
-                                                 StateIndex target) const {
-  if (start >= chain_.size() || target >= chain_.size()) {
-    throw std::out_of_range("absorption_probability: state out of range");
-  }
-  if (chain_.exit_rate(target) != 0.0) {
-    throw std::invalid_argument(
-        "absorption_probability: target is not absorbing");
-  }
-  const std::ptrdiff_t spos = transient_pos_[start];
-  if (spos < 0) return start == target ? 1.0 : 0.0;
-  // B = N * R with R[j][a] = q(transient_j -> a).
-  double acc = 0.0;
-  const auto& q = chain_.generator();
-  for (std::size_t j = 0; j < transient_.size(); ++j) {
-    const double rate = q.at(transient_[j], target);
-    if (rate > 0.0) {
-      acc += fundamental_(static_cast<std::size_t>(spos), j) * rate;
+  RenewalChain out;
+  for (StateIndex i = 0; i < n; ++i) {
+    if (pos[i] != kUnreached) {
+      pos[i] = static_cast<std::ptrdiff_t>(out.states.size());
+      out.states.push_back(i);
     }
   }
-  return acc;
+
+  // Arcs first, in source row order (parallel arcs into A sum in that
+  // order), then each diagonal as the negated sum of its row's arcs.
+  const std::size_t sink = out.sink();
+  linalg::CsrBuilder builder(sink + 1, sink + 1);
+  std::vector<double> exit(sink + 1, 0.0);
+  const auto arc = [&](std::size_t from, std::size_t to, double w) {
+    builder.add(from, to, w);
+    exit[from] += w;
+  };
+  for (std::size_t r = 0; r < sink; ++r) {
+    const auto row = weights.row(out.states[r]);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      const StateIndex j = row.cols[k];
+      if (j == out.states[r] || !(row.values[k] > 0.0)) continue;
+      arc(r, pos[j] == kUnreached ? sink : static_cast<std::size_t>(pos[j]),
+          row.values[k]);
+    }
+  }
+  arc(sink, static_cast<std::size_t>(pos[initial]), 1.0);
+  for (std::size_t r = 0; r <= sink; ++r) builder.add(r, r, -exit[r]);
+  out.generator = builder.build();
+  return out;
 }
 
-double AbsorbingAnalysis::expected_visit_time(StateIndex start,
-                                              StateIndex j) const {
-  if (start >= chain_.size() || j >= chain_.size()) {
-    throw std::out_of_range("expected_visit_time: state out of range");
+double RenewalChain::mean_time(const linalg::Vector& pi,
+                               const linalg::Vector& visit_cost) const {
+  const double pi_sink = pi.at(sink());
+  if (!(pi_sink > 0.0)) {
+    throw resilience::SolveError(
+        resilience::SolveCause::kInvalidInput, "mean_time_to_absorption",
+        "absorption is not certain from the initial state (infinite mean "
+        "time)");
   }
-  const std::ptrdiff_t spos = transient_pos_[start];
-  const std::ptrdiff_t jpos = transient_pos_[j];
-  if (spos < 0 || jpos < 0) return 0.0;
-  return fundamental_(static_cast<std::size_t>(spos),
-                      static_cast<std::size_t>(jpos));
+  double visits = 0.0;
+  for (std::size_t r = 0; r < sink(); ++r) {
+    visits += visit_cost.empty() ? pi[r] : pi[r] * visit_cost[states[r]];
+  }
+  return visits / pi_sink;
+}
+
+double mean_time_to_absorption(const linalg::CsrMatrix& weights,
+                               StateIndex initial,
+                               const linalg::Vector& visit_cost,
+                               const robust::CancelToken& cancel) {
+  const std::size_t n = weights.rows();
+  if (initial >= n) {
+    throw std::out_of_range(
+        "mean_time_to_absorption: initial state out of range");
+  }
+  if (!visit_cost.empty() && visit_cost.size() != n) {
+    throw std::invalid_argument(
+        "mean_time_to_absorption: visit_cost size mismatch");
+  }
+  bool any_absorbing = false;
+  for (StateIndex i = 0; i < n && !any_absorbing; ++i) {
+    any_absorbing = is_absorbing(weights, i);
+  }
+  if (!any_absorbing) {
+    throw std::invalid_argument("mean_time_to_absorption: no absorbing states");
+  }
+  if (is_absorbing(weights, initial)) return 0.0;
+  const RenewalChain renewal = renewal_chain(weights, initial);
+  return renewal.mean_time(gth_stationary(renewal.generator, cancel),
+                           visit_cost);
 }
 
 double reliability_at(const Ctmc& absorbing_chain,

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/lu.hpp"
+#include "markov/absorbing.hpp"
 #include "markov/steady_state.hpp"
 
 namespace rascad::markov {
@@ -66,42 +66,12 @@ bool Dtmc::is_absorbing(std::size_t i) const {
   if (i >= size()) {
     throw std::out_of_range("Dtmc::is_absorbing: index out of range");
   }
-  return p_.at(i, i) > 1.0 - 1e-12;
+  return markov::is_absorbing(p_, i);
 }
 
-double Dtmc::expected_steps_to_absorption(std::size_t start) const {
-  if (start >= size()) {
-    throw std::out_of_range(
-        "Dtmc::expected_steps_to_absorption: index out of range");
-  }
-  std::vector<std::size_t> transient;
-  std::vector<std::ptrdiff_t> position(size(), -1);
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (!is_absorbing(i)) {
-      position[i] = static_cast<std::ptrdiff_t>(transient.size());
-      transient.push_back(i);
-    }
-  }
-  if (transient.size() == size()) {
-    throw std::invalid_argument(
-        "Dtmc::expected_steps_to_absorption: no absorbing states");
-  }
-  if (is_absorbing(start)) return 0.0;
-
-  // (I - P_TT) t = 1.
-  const std::size_t m = transient.size();
-  linalg::DenseMatrix a(m, m);
-  linalg::Vector ones(m, 1.0);
-  for (std::size_t r = 0; r < m; ++r) {
-    a(r, r) = 1.0;
-    const auto row = p_.row(transient[r]);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      const std::ptrdiff_t c = position[row.cols[k]];
-      if (c >= 0) a(r, static_cast<std::size_t>(c)) -= row.values[k];
-    }
-  }
-  const linalg::Vector t = linalg::lu_solve(std::move(a), ones);
-  return t[static_cast<std::size_t>(position[start])];
+double Dtmc::expected_steps_to_absorption(
+    std::size_t start, const robust::CancelToken& cancel) const {
+  return mean_time_to_absorption(p_, start, {}, cancel);
 }
 
 linalg::Vector Dtmc::evolve(const linalg::Vector& start,

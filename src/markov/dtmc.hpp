@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "linalg/csr.hpp"
+#include "robust/cancel.hpp"
 
 namespace rascad::markov {
 
@@ -53,12 +54,18 @@ class Dtmc {
   /// n-step distribution from `start`.
   linalg::Vector evolve(const linalg::Vector& start, std::size_t steps) const;
 
-  /// True if state i is absorbing (all its probability mass self-loops).
+  /// True if state i is absorbing (all its probability mass self-loops:
+  /// no positive off-diagonal entry, markov::is_absorbing).
   bool is_absorbing(std::size_t i) const;
 
-  /// Expected number of steps to reach any absorbing state from `start`.
-  /// Throws std::invalid_argument if the chain has no absorbing states.
-  double expected_steps_to_absorption(std::size_t start) const;
+  /// Expected number of steps to reach any absorbing state from `start`
+  /// (self-loops count), by markov::mean_time_to_absorption on P; `cancel`
+  /// is polled by its elimination. Throws std::out_of_range for a bad
+  /// `start`, std::invalid_argument if the chain has no absorbing states,
+  /// and resilience::SolveError(kInvalidInput) if absorption is not certain
+  /// from `start`.
+  double expected_steps_to_absorption(
+      std::size_t start, const robust::CancelToken& cancel = {}) const;
 
  private:
   friend class DtmcBuilder;

@@ -10,8 +10,8 @@
 #include <optional>
 #include <string>
 
+#include "linalg/csr.hpp"
 #include "linalg/dense.hpp"
-#include "markov/ctmc.hpp"
 #include "resilience/solve_error.hpp"
 
 namespace rascad::resilience {
@@ -48,12 +48,12 @@ bool all_finite(const linalg::Vector& v) noexcept;
 HealthReport check_distribution(linalg::Vector& pi,
                                 const HealthCheckConfig& config);
 
-/// Verifies (and repairs, where legitimate) a candidate stationary vector:
-/// NaN/Inf scan, clamp-and-account of negative entries, renormalization,
-/// then a residual re-check of ||pi Q|| in two norms. `pi` is modified in
-/// place (clamping + renormalization) only when the checks pass far enough
-/// to make that meaningful.
-HealthReport check_stationary(const markov::Ctmc& chain, linalg::Vector& pi,
+/// Verifies (and repairs, where legitimate) a candidate stationary vector
+/// of the chain with generator `q`: NaN/Inf scan, clamp-and-account of
+/// negative entries, renormalization, then a residual re-check of ||pi Q||
+/// in two norms. `pi` is modified in place (clamping + renormalization)
+/// only when the checks pass far enough to make that meaningful.
+HealthReport check_stationary(const linalg::CsrMatrix& q, linalg::Vector& pi,
                               const HealthCheckConfig& config,
                               double tolerance);
 

@@ -44,7 +44,7 @@ linalg::Vector run_episode(const ResilienceConfig& config,
   obs::Span episode_span("ladder.episode");
   if (episode_span.active()) episode_span.set_detail(episode_name);
   const auto start = Clock::now();
-  RungAttempt attempt;
+  SolveAttempt attempt;
   linalg::Vector pi;
   std::optional<SolveError> failure;
   try {
@@ -56,15 +56,14 @@ linalg::Vector run_episode(const ResilienceConfig& config,
     if (!health.ok) {
       obs::emit_event("health.check_failed",
                       {{"episode", episode_name}, {"detail", health.detail}});
-      failure.emplace(health.failure.value_or(SolveCause::kNanOrInf),
-                      to_string(attempt.rung), health.detail);
+      failure.emplace(health.failure.value_or(SolveCause::kNanOrInf), "gth",
+                      health.detail);
     }
   } catch (const SolveError& e) {
     attempt.iterations = e.iterations();
     failure = e;
   } catch (const std::exception& e) {
-    failure.emplace(SolveCause::kInvalidInput, to_string(attempt.rung),
-                    e.what());
+    failure.emplace(SolveCause::kInvalidInput, "gth", e.what());
   }
   attempt.success = !failure;
   if (failure) {
@@ -74,7 +73,6 @@ linalg::Vector run_episode(const ResilienceConfig& config,
   attempt.duration_ms = ms_since(start);
   trace.attempts.push_back(attempt);
   trace.success = attempt.success;
-  trace.final_rung = attempt.rung;
   trace.total_ms = attempt.duration_ms;
   if (obs::enabled()) {
     static obs::Counter& attempts_total =
@@ -89,7 +87,6 @@ linalg::Vector run_episode(const ResilienceConfig& config,
       failures.inc();
       obs::emit_event("ladder.attempt_failed",
                       {{"episode", episode_name},
-                       {"rung", to_string(attempt.rung)},
                        {"cause", to_string(attempt.cause)},
                        {"message", attempt.message}});
     }
@@ -125,11 +122,10 @@ std::string SolveTrace::summary() const {
   for (const auto& a : attempts) {
     if (!first) os << " -> ";
     first = false;
-    os << to_string(a.rung);
     if (a.success) {
-      os << " ok";
+      os << "gth ok";
     } else {
-      os << " failed (" << to_string(a.cause) << ")";
+      os << "gth failed (" << to_string(a.cause) << ")";
     }
   }
   os << " [" << attempts.size() << (attempts.size() == 1 ? " attempt, "
@@ -149,7 +145,7 @@ ResilientResult solve_steady_state_resilient(const markov::Ctmc& chain,
         return markov::gth_stationary(chain.generator(), config.base.cancel);
       },
       [&](linalg::Vector& pi) {
-        return check_stationary(chain, pi, config.health,
+        return check_stationary(chain.generator(), pi, config.health,
                                 config.base.tolerance);
       });
   out.result.residual = out.trace.attempts.back().residual_check;
@@ -228,67 +224,20 @@ double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
   const markov::Ctmc rel = markov::make_down_states_absorbing(chain);
   if (!(rel.exit_rate(initial) > 0.0)) return 0.0;
 
-  // Transient states reachable from `initial`, in chain order; `pos` maps
-  // a chain state to its renewal-chain index. Absorbing states map to the
-  // sink A, the last index.
-  constexpr std::ptrdiff_t kUnreached = -1;
-  std::vector<std::ptrdiff_t> pos(rel.size(), kUnreached);
-  std::vector<markov::StateIndex> frontier{initial};
-  pos[initial] = 0;
-  while (!frontier.empty()) {
-    const markov::StateIndex i = frontier.back();
-    frontier.pop_back();
-    const auto row = rel.generator().row(i);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      const markov::StateIndex j = row.cols[k];
-      if (pos[j] == kUnreached && rel.exit_rate(j) > 0.0) {
-        pos[j] = 0;
-        frontier.push_back(j);
-      }
-    }
-  }
-  std::vector<markov::StateIndex> transient;
-  for (markov::StateIndex i = 0; i < rel.size(); ++i) {
-    if (pos[i] != kUnreached) {
-      pos[i] = static_cast<std::ptrdiff_t>(transient.size());
-      transient.push_back(i);
-    }
-  }
-  const std::size_t sink = transient.size();
-
-  // The renewal chain: every arc into an absorbing state goes to A, and A
-  // returns to `initial` at rate 1, so pi_A is the renewal rate
-  // 1 / (MTTF + 1) and the transient mass is MTTF / (MTTF + 1).
-  markov::CtmcBuilder builder;
-  for (std::size_t r = 0; r < sink; ++r) {
-    builder.add_state("s" + std::to_string(transient[r]), 1.0);
-  }
-  builder.add_state("A", 0.0);
-  for (std::size_t r = 0; r < sink; ++r) {
-    const auto row = rel.generator().row(transient[r]);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      const markov::StateIndex j = row.cols[k];
-      if (j == transient[r]) continue;
-      const std::size_t to =
-          pos[j] == kUnreached ? sink : static_cast<std::size_t>(pos[j]);
-      builder.add_transition(r, to, row.values[k]);
-    }
-  }
-  builder.add_transition(sink, static_cast<std::size_t>(pos[initial]), 1.0);
-  const markov::Ctmc renewal = builder.build();
+  const markov::RenewalChain renewal =
+      markov::renewal_chain(rel.generator(), initial);
 
   SolveTrace local_trace;
   SolveTrace& tr = trace ? *trace : local_trace;
   const linalg::Vector pi = run_episode(
       config, "mttf_resilient", tr,
       [&] {
-        return markov::gth_stationary(renewal.generator(), config.base.cancel);
+        return markov::gth_stationary(renewal.generator, config.base.cancel);
       },
       [&](linalg::Vector& candidate) {
-        HealthReport report = check_stationary(renewal, candidate,
-                                               config.health,
-                                               config.base.tolerance);
-        if (report.ok && !(candidate[sink] > 0.0)) {
+        HealthReport report = check_stationary(
+            renewal.generator, candidate, config.health, config.base.tolerance);
+        if (report.ok && !(candidate[renewal.sink()] > 0.0)) {
           report.ok = false;
           report.failure = SolveCause::kInvalidInput;
           report.detail =
@@ -297,9 +246,7 @@ double mttf_resilient(const markov::Ctmc& chain, markov::StateIndex initial,
         }
         return report;
       });
-  double up_mass = 0.0;
-  for (std::size_t r = 0; r < sink; ++r) up_mass += pi[r];
-  return up_mass / pi[sink];
+  return renewal.mean_time(pi);
 }
 
 }  // namespace rascad::resilience

@@ -55,9 +55,8 @@ struct ResilienceConfig {
 ResilienceConfig config_from(const markov::SteadyStateOptions& opts,
                              const robust::CancelToken& loop_cancel = {});
 
-/// One solve attempt, successful or not.
-struct RungAttempt {
-  Rung rung = Rung::kGth;
+/// One GTH solve attempt, successful or not.
+struct SolveAttempt {
   bool success = false;
   SolveCause cause = SolveCause::kNonConverged;  // valid when !success
   std::string message;                           // failure detail
@@ -90,9 +89,8 @@ inline const char* to_string(SolveSource source) {
 
 /// Full record of a solve episode.
 struct SolveTrace {
-  std::vector<RungAttempt> attempts;
+  std::vector<SolveAttempt> attempts;
   bool success = false;
-  Rung final_rung = Rung::kGth;  // valid when success
   double total_ms = 0.0;
   /// Provenance of the numbers this trace vouches for.
   SolveSource source = SolveSource::kFresh;
@@ -140,9 +138,10 @@ ResilientResult smp_steady_state_resilient(
     const ResilienceConfig& config = {});
 
 /// Mean time to failure from `initial` (down states absorbing), by GTH on
-/// the renewal chain: the transient states reachable from `initial`, the
-/// absorbing states merged into one sink A, and A -> initial at rate 1.
-/// Then MTTF = sum_T pi / pi_A, with no subtraction anywhere. Returns 0 for
+/// markov::renewal_chain: the transient states reachable from `initial`,
+/// the absorbing states merged into one sink A, and A -> initial at rate 1.
+/// Then MTTF = sum_T pi / pi_A, with no subtraction anywhere; the episode
+/// verifies pi on the renewal chain before the ratio is taken. Returns 0 for
 /// chains without down states and when `initial` is absorbing. `trace`
 /// (optional) receives the episode. Throws std::out_of_range when
 /// `initial` is not a state of `chain`, and SolveError(kInvalidInput) when

@@ -21,7 +21,6 @@ namespace rascad::resilience {
 
 /// Why a solve failed. The resilience layer records these in SolveTrace.
 enum class SolveCause {
-  kSingular,          // singular / pivot-breakdown linear system
   kNonConverged,      // independent residual check above its bound
   kNanOrInf,          // non-finite values or invalid probability mass
   kBudgetExceeded,    // state-space / term / step budget exceeded
@@ -33,26 +32,12 @@ enum class SolveCause {
 
 inline const char* to_string(SolveCause cause) {
   switch (cause) {
-    case SolveCause::kSingular: return "singular";
     case SolveCause::kNonConverged: return "non-converged";
     case SolveCause::kNanOrInf: return "nan-or-inf";
     case SolveCause::kBudgetExceeded: return "budget-exceeded";
     case SolveCause::kDeadlineExceeded: return "deadline-exceeded";
     case SolveCause::kInvalidInput: return "invalid-input";
     case SolveCause::kCancelled: return "cancelled";
-  }
-  return "unknown";
-}
-
-/// Identity of the algorithm behind a solve attempt, as recorded in a
-/// SolveTrace and printed in its summary and the report's solver table.
-enum class Rung {
-  kGth,  // Grassmann-Taksar-Heyman elimination (subtraction-free)
-};
-
-inline const char* to_string(Rung rung) {
-  switch (rung) {
-    case Rung::kGth: return "gth";
   }
   return "unknown";
 }

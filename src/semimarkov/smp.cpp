@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "linalg/lu.hpp"
+#include "markov/absorbing.hpp"
 
 namespace rascad::semimarkov {
 
@@ -147,41 +147,28 @@ bool SemiMarkovProcess::is_absorbing(std::size_t i) const {
   return !absorbing_.empty() && absorbing_[i];
 }
 
-double SemiMarkovProcess::mean_time_to_absorption(std::size_t start) const {
+double SemiMarkovProcess::mean_time_to_absorption(
+    std::size_t start, const robust::CancelToken& cancel) const {
   if (start >= states_.size()) {
     throw std::out_of_range(
         "SemiMarkovProcess::mean_time_to_absorption: out of range");
   }
-  std::vector<std::size_t> transient;
-  std::vector<std::ptrdiff_t> position(states_.size(), -1);
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    if (!is_absorbing(i)) {
-      position[i] = static_cast<std::ptrdiff_t>(transient.size());
-      transient.push_back(i);
-    }
-  }
-  if (transient.size() == states_.size()) {
-    throw std::invalid_argument(
-        "SemiMarkovProcess::mean_time_to_absorption: no absorbing states");
-  }
-  if (is_absorbing(start)) return 0.0;
-
-  // Solve (I - P_TT) t = h_T.
-  const std::size_t m = transient.size();
-  linalg::DenseMatrix a(m, m);
-  linalg::Vector h(m);
+  // Each visit to state i costs its mean sojourn. A transient state whose
+  // embedded row only loops back to itself is never left; the renewal
+  // chain would take it for absorbing, so it is refused here.
   const auto& p = embedded_.transition_matrix();
-  for (std::size_t r = 0; r < m; ++r) {
-    a(r, r) = 1.0;
-    const auto row = p.row(transient[r]);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      const std::ptrdiff_t c = position[row.cols[k]];
-      if (c >= 0) a(r, static_cast<std::size_t>(c)) -= row.values[k];
+  linalg::Vector sojourn(size(), 0.0);
+  for (std::size_t i = 0; i < size(); ++i) {
+    if (is_absorbing(i)) continue;
+    sojourn[i] = mean_sojourn(i);
+    if (markov::is_absorbing(p, i)) {
+      throw resilience::SolveError(
+          resilience::SolveCause::kInvalidInput,
+          "SemiMarkovProcess::mean_time_to_absorption",
+          "state " + states_[i].name + " is never left (infinite mean time)");
     }
-    h[r] = states_[transient[r]].sojourn->mean();
   }
-  const linalg::Vector t = linalg::lu_solve(std::move(a), h);
-  return t[static_cast<std::size_t>(position[start])];
+  return markov::mean_time_to_absorption(p, start, sojourn, cancel);
 }
 
 linalg::Vector SemiMarkovProcess::steady_state() const {

@@ -17,6 +17,7 @@
 #include "dist/distribution.hpp"
 #include "linalg/dense.hpp"
 #include "markov/dtmc.hpp"
+#include "robust/cancel.hpp"
 
 namespace rascad::semimarkov {
 
@@ -98,9 +99,15 @@ class SemiMarkovProcess {
   double steady_state_reward() const;
 
   /// Mean time to reach any absorbing state from `start` (Markov-renewal
-  /// first passage: t_i = h_i + sum_j P_ij t_j over transient states).
-  /// Throws std::invalid_argument if the process has no absorbing state.
-  double mean_time_to_absorption(std::size_t start) const;
+  /// first passage: t_i = h_i + sum_j P_ij t_j over transient states), by
+  /// markov::mean_time_to_absorption on the embedded chain with the mean
+  /// sojourns as visit costs; `cancel` is polled by its elimination. Throws
+  /// std::out_of_range for a bad `start`, std::invalid_argument if the
+  /// process has no absorbing state, and
+  /// resilience::SolveError(kInvalidInput) if absorption is not certain
+  /// from `start` or a transient state is never left.
+  double mean_time_to_absorption(std::size_t start,
+                                 const robust::CancelToken& cancel = {}) const;
 
  private:
   friend class SmpBuilder;

@@ -9,15 +9,12 @@
 
 #include "linalg/csr.hpp"
 #include "linalg/dense.hpp"
-#include "linalg/lu.hpp"
-#include "resilience/solve_error.hpp"
 
 namespace {
 
 using rascad::linalg::CsrBuilder;
 using rascad::linalg::CsrMatrix;
 using rascad::linalg::DenseMatrix;
-using rascad::linalg::LuFactorization;
 using rascad::linalg::Vector;
 
 TEST(DenseMatrix, ConstructionAndAccess) {
@@ -259,39 +256,6 @@ TEST(CsrBuilder, RepeatedBuildsAreIdentical) {
   CsrMatrix other;
   std::thread([&] { other = b.build(); }).join();
   expect_identical(first, other);
-}
-
-TEST(Lu, SolvesKnownSystem) {
-  // A = [[2,1],[1,3]], b = [3,5] -> x = [0.8, 1.4]
-  const DenseMatrix a{{2.0, 1.0}, {1.0, 3.0}};
-  const Vector x = rascad::linalg::lu_solve(a, {3.0, 5.0});
-  EXPECT_NEAR(x[0], 0.8, 1e-12);
-  EXPECT_NEAR(x[1], 1.4, 1e-12);
-}
-
-TEST(Lu, Determinant) {
-  const DenseMatrix a{{2.0, 0.0}, {0.0, 3.0}};
-  EXPECT_NEAR(LuFactorization(a).determinant(), 6.0, 1e-12);
-  // Row-swapped version flips nothing in |det|.
-  const DenseMatrix b{{0.0, 3.0}, {2.0, 0.0}};
-  EXPECT_NEAR(LuFactorization(b).determinant(), -6.0, 1e-12);
-}
-
-TEST(Lu, SingularThrows) {
-  const DenseMatrix a{{1.0, 2.0}, {2.0, 4.0}};
-  // Migrated from std::domain_error to the structured taxonomy; SolveError
-  // is-a std::runtime_error, so generic catch sites keep working.
-  try {
-    LuFactorization lu{a};
-    FAIL() << "expected SolveError";
-  } catch (const rascad::resilience::SolveError& e) {
-    EXPECT_EQ(e.cause(), rascad::resilience::SolveCause::kSingular);
-  }
-}
-
-TEST(Lu, RequiresSquare) {
-  const DenseMatrix a(2, 3);
-  EXPECT_THROW(LuFactorization{a}, std::invalid_argument);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <latch>
 #include <set>
 #include <sstream>
 #include <string>
@@ -181,10 +182,14 @@ TEST_F(ObsExportTest, ConcurrentScrapersSeeIndependentConsistentDeltas) {
   // Two scrapers with different cadences race the writers. Invariants:
   // every scrape sees a cumulative value that never goes backwards, and
   // after the writers quiesce one more scrape lands each cursor on the
-  // exact total — neither cursor can steal updates from the other.
+  // exact total — neither cursor can steal updates from the other. The
+  // writers start only after each scraper has finished one collect(), so
+  // a loaded scheduler cannot let them finish (and stop the scrapers)
+  // before a scraper ever runs.
   std::atomic<bool> stop{false};
-  auto scraper = [&reg, &stop](std::uint64_t* last_seen,
-                               std::uint64_t* scrapes) {
+  std::latch scraped_once(2);
+  auto scraper = [&reg, &stop, &scraped_once](std::uint64_t* last_seen,
+                                              std::uint64_t* scrapes) {
     MetricsCursor cursor(reg);
     while (!stop.load(std::memory_order_acquire)) {
       const MetricsSnapshot delta = cursor.collect();
@@ -192,7 +197,7 @@ TEST_F(ObsExportTest, ConcurrentScrapersSeeIndependentConsistentDeltas) {
         EXPECT_GE(c.value, *last_seen);  // monotone under concurrent inc
         *last_seen = c.value;
       }
-      ++*scrapes;
+      if (++*scrapes == 1) scraped_once.count_down();
     }
   };
   std::uint64_t seen_a = 0, seen_b = 0, scrapes_a = 0, scrapes_b = 0;
@@ -201,7 +206,8 @@ TEST_F(ObsExportTest, ConcurrentScrapersSeeIndependentConsistentDeltas) {
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&counter] {
+    writers.emplace_back([&counter, &scraped_once] {
+      scraped_once.wait();
       for (int i = 0; i < kIncrementsPerWriter; ++i) counter.inc();
     });
   }
