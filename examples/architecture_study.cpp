@@ -9,7 +9,7 @@
 #include "core/importance.hpp"
 #include "core/library.hpp"
 #include "mg/system.hpp"
-#include "sim/system_sim.hpp"
+#include "sim/streaming.hpp"
 
 int main() {
   using rascad::mg::SystemModel;

@@ -23,7 +23,7 @@
 #include "core/project.hpp"
 #include "core/report.hpp"
 #include "obs/jsonl.hpp"
-#include "sim/system_sim.hpp"
+#include "sim/streaming.hpp"
 #include "spec/parser.hpp"
 #include "spec/validate.hpp"
 #include "spec/writer.hpp"

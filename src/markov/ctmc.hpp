@@ -11,6 +11,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "linalg/csr.hpp"
@@ -52,6 +53,9 @@ class CtmcBuilder {
     double rate;
   };
   std::vector<StateInfo> states_;
+  // Name -> index, so add_state's duplicate check and find_state are O(1)
+  // instead of a scan over every earlier name.
+  std::unordered_map<std::string, StateIndex> index_;
   std::vector<Arc> arcs_;
 };
 

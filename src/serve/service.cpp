@@ -27,7 +27,6 @@
 #include "robust/watchdog.hpp"
 #include "serve/ring.hpp"
 #include "sim/streaming.hpp"
-#include "sim/system_sim.hpp"
 #include "spec/parser.hpp"
 
 namespace rascad::serve {
@@ -716,20 +715,19 @@ Frame Service::do_simulate(const Frame& req,
   const std::uint64_t seed = parse_u64_field(head[2], "simulate seed");
   const spec::ModelSpec model = spec::parse_model(text);
 
-  // The streaming engine folds replications into Welford + P² accumulators
+  // replicate_system folds replications into Welford + P² accumulators
   // batch by batch, so a million-replication request holds O(batch) memory
   // and a deadline cut still returns the statistics of the folded prefix.
   sim::StreamingOptions sopts;
   sopts.parallel.cancel = token;
   const sim::StreamingReplicationResult rep =
-      sim::replicate_system_streaming(model, horizon, reps, seed, sopts);
+      sim::replicate_system(model, horizon, reps, seed, sopts);
 
   const auto ci = rep.availability.confidence_interval();
   std::string out;
   out += "requested=" + std::to_string(rep.requested) + "\n";
   out += "completed=" + std::to_string(rep.completed) + "\n";
   out += std::string("status=") + robust::to_string(rep.status) + "\n";
-  out += std::string("engine=") + sim::to_string(sopts.engine) + "\n";
   out += "availability_mean=" + fmt_double(rep.availability.mean()) + "\n";
   out += "availability_ci_lo=" + fmt_double(ci.lo) + "\n";
   out += "availability_ci_hi=" + fmt_double(ci.hi) + "\n";

@@ -1,18 +1,17 @@
 // Resumable, event-stepped replay of one MG block's semantics.
 //
-// The original simulator ran each block as a closed `while (t < horizon)`
-// loop that pushed down windows into a per-replication vector. The event
-// engine needs the same semantics as a *schedulable process* (the gacspp
-// CScheduleable idiom): advance one scheduled event at a time and yield
-// each down window as it is produced, so the system-level engine can run
-// a streaming k-way sweep over all blocks without ever materializing
-// per-block interval vectors.
+// A block runs as a *schedulable process* (the gacspp CScheduleable
+// idiom): it advances one scheduled event at a time and yields each down
+// window as it is produced, so the system-level event engine can run a
+// streaming k-way sweep over all blocks without ever materializing
+// per-block interval vectors. simulate_block (sim/block_sim.hpp) drains
+// the same process into a vector for single-block runs.
 //
-// Determinism contract: the stepwise form consumes RNG draws in exactly
-// the order the legacy loop did, so per-block down windows — and
-// therefore every per-replication availability sample — are bitwise
-// identical between the legacy replayer and the event engine for the same
-// (seed, options). sim_test and bench_sim both assert this.
+// Determinism contract: a process consumes RNG draws in a fixed order, so
+// its windows depend only on (seed, options), whichever caller drains
+// them. sim_stream_test and bench_sim check the event engine against
+// simulate_block windows on the same streams, sorted and merged in the
+// test.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +43,8 @@ struct BlockSimOptions {
   double p_common_cause = 0.0;
 };
 
-/// Running per-block event accounting, shared by both engines.
+/// Running per-block event accounting, shared by simulate_block and the
+/// event engine.
 struct BlockTallies {
   double down_time = 0.0;
   std::size_t permanent_faults = 0;
@@ -67,7 +67,7 @@ struct BlockTallies {
 class BlockEventProcess {
  public:
   /// Throws std::invalid_argument when the horizon is not positive (same
-  /// precondition as the legacy simulate_block entry point).
+  /// precondition as simulate_block).
   BlockEventProcess(const spec::BlockSpec& block,
                     const spec::GlobalParams& globals, double horizon,
                     dist::RandomSource& rng, const BlockSimOptions& opts);
@@ -97,7 +97,7 @@ class BlockEventProcess {
   };
   enum class PsMode : std::uint8_t { kOk, kDegraded, kStandbyDown };
 
-  // One scheduled event: exactly one iteration of the legacy family loop.
+  // One scheduled event: one iteration of the block family's loop.
   void step();
   void step_type0();
   void step_transient_only();

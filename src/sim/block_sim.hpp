@@ -10,9 +10,8 @@
 // distributions it quantifies how much the exponential assumption matters.
 //
 // The block semantics themselves live in sim/block_process.hpp as a
-// resumable event process; this header is the legacy materializing entry
-// point (full interval vectors per run), kept for single-run inspection
-// and as the reference the event engine is checked against.
+// resumable event process; simulate_block drains one into a full interval
+// vector, for single-block runs and for the tests' per-block reference.
 #pragma once
 
 #include <cstdint>

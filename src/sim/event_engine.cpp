@@ -2,22 +2,11 @@
 
 #include <algorithm>
 #include <memory>
-#include <new>
-#include <stdexcept>
 
 #include "sim/block_process.hpp"
 #include "sim/rng.hpp"
-#include "spec/validate.hpp"
 
 namespace rascad::sim {
-
-const char* to_string(SimEngine engine) {
-  switch (engine) {
-    case SimEngine::kEvent: return "event";
-    case SimEngine::kReplay: return "replay";
-  }
-  return "unknown";
-}
 
 namespace {
 
@@ -120,11 +109,11 @@ SystemSimResult simulate_replication_events(
   heap.clear();
   heap.reserve(blocks.size());
 
-  // Processes are constructed in block order so stream seeding matches the
-  // legacy replayer exactly. When the workspace was last built against the
-  // same model (the streaming driver replays one model a million times),
-  // the schedulables are rewound in place — no rate derivation, no family
-  // classification, no allocation.
+  // Processes are constructed in block order, so block i owns stream
+  // i + 1. When the workspace was last built against the same model (the
+  // replication loop replays one model a million times), the schedulables
+  // are rewound in place — no rate derivation, no family classification,
+  // no allocation.
   const bool reusable =
       scratch.built_globals == &globals && scratch.built_opts == &opts &&
       scratch.built_horizon == horizon && scratch.built_blocks == blocks;
@@ -154,9 +143,9 @@ SystemSimResult simulate_replication_events(
   std::make_heap(heap.begin(), heap.end(), HeapLater{});
 
   // Live union sweep: the window currently open, extended while pops
-  // overlap it. Identical arithmetic to the legacy sort+merge — same
-  // visit order (sorted starts), same max-of-ends extension, same
-  // accumulation order of closed windows into down_time.
+  // overlap it. Windows arrive in sorted-start order; an overlapping or
+  // touching one extends the open window to the max of the two ends, and
+  // closed windows accumulate into down_time in time order.
   bool open = false;
   double cur_start = 0.0;
   double cur_end = 0.0;
@@ -203,17 +192,6 @@ SystemSimResult simulate_replication_events(
     result.events += t.events;
   }
   return result;
-}
-
-SystemSimResult simulate_system_events(const spec::ModelSpec& model,
-                                       double horizon, std::uint64_t seed,
-                                       const BlockSimOptions& opts) {
-  spec::validate_or_throw(model);
-  if (!(horizon > 0.0)) {
-    throw std::invalid_argument("simulate_system: horizon must be positive");
-  }
-  return simulate_replication_events(collect_failing_blocks(model),
-                                     model.globals, horizon, seed, opts);
 }
 
 }  // namespace rascad::sim

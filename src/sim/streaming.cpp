@@ -4,14 +4,12 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "sim/sink.hpp"
 #include "spec/validate.hpp"
 
 namespace rascad::sim {
@@ -133,13 +131,12 @@ struct Slot {
 
 }  // namespace
 
-StreamingReplicationResult replicate_system_streaming(
+StreamingReplicationResult replicate_system(
     const spec::ModelSpec& model, double horizon, std::size_t replications,
     std::uint64_t base_seed, const StreamingOptions& opts) {
   spec::validate_or_throw(model);
   if (!(horizon > 0.0)) {
-    throw std::invalid_argument(
-        "replicate_system_streaming: horizon must be positive");
+    throw std::invalid_argument("replicate_system: horizon must be positive");
   }
   const std::vector<const spec::BlockSpec*> blocks =
       collect_failing_blocks(model);
@@ -149,15 +146,8 @@ StreamingReplicationResult replicate_system_streaming(
 
   obs::Span run_span("sim.replicate");
   if (run_span.active()) {
-    run_span.set_detail("engine=" + std::string(to_string(opts.engine)) +
-                        " reps=" + std::to_string(replications) +
+    run_span.set_detail("reps=" + std::to_string(replications) +
                         " blocks=" + std::to_string(blocks.size()));
-  }
-
-  std::unique_ptr<ReplicationSink> sink;
-  if (!opts.jsonl_path.empty()) {
-    sink = std::make_unique<ReplicationSink>(opts.jsonl_path,
-                                             opts.sink_capacity);
   }
 
   const std::size_t batch = std::max<std::size_t>(1, opts.batch);
@@ -189,16 +179,11 @@ StreamingReplicationResult replicate_system_streaming(
         [&](std::size_t i) {
           Slot& s = slots[i];
           s.outage_min.clear();
-          // Same per-replication seeding as replicate_system, so the
-          // folded samples are bitwise identical to the legacy path.
           const std::uint64_t seed =
               base_seed + 0x1000 * static_cast<std::uint64_t>(next + i + 1);
-          SystemSimResult one =
-              opts.engine == SimEngine::kEvent
-                  ? simulate_replication_events(blocks, model.globals,
-                                                horizon, seed, opts.block,
-                                                &s.outage_min, &s.workspace)
-                  : simulate_system(model, horizon, seed, opts.block);
+          const SystemSimResult one = simulate_replication_events(
+              blocks, model.globals, horizon, seed, opts.block,
+              &s.outage_min, &s.workspace);
           s.availability = one.availability();
           s.downtime_min = one.downtime_minutes();
           s.outages = static_cast<double>(one.outages);
@@ -223,11 +208,6 @@ StreamingReplicationResult replicate_system_streaming(
         out.outage_minutes_p99.add(m);
       }
       batch_events += s.events;
-      if (sink) {
-        sink->push({static_cast<std::uint64_t>(next + i), s.availability,
-                    s.downtime_min, static_cast<std::uint64_t>(s.outages),
-                    s.events});
-      }
     }
     out.events += batch_events;
     out.completed += n;
@@ -254,13 +234,11 @@ StreamingReplicationResult replicate_system_streaming(
     if (opts.stop_when_ci_below > 0.0 &&
         out.completed >= opts.min_replications &&
         out.availability.count() >= 2 &&
-        out.ci_half_width(opts.ci_z) <= opts.stop_when_ci_below) {
+        out.ci_half_width() <= opts.stop_when_ci_below) {
       out.early_exit = out.completed < out.requested;
       break;
     }
   }
-
-  if (sink) sink->close();
   return out;
 }
 

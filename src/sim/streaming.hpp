@@ -1,31 +1,27 @@
-// Streaming statistics for million-replication Monte-Carlo runs.
+// replicate_system: million-replication Monte-Carlo runs with streaming
+// statistics.
 //
-// The legacy replicate_system materializes one SystemSimResult per
-// replication before folding, so memory grows linearly with the
-// replication count and a million-replication five-nines cross-check is
-// out of reach. This layer never keeps more than one bounded batch of
-// per-replication samples alive:
+// replicate_system never keeps more than one bounded batch of
+// per-replication samples alive, so peak memory is O(batch) whatever the
+// replication count:
 //
 //   * Welford moments (SampleStats) for mean / variance / CI,
 //   * P² quantile estimators (Jain & Chlamtac 1985) for p50/p99/p999
 //     availability and outage-duration quantiles — five markers per
 //     quantile, O(1) memory, no sample retention,
-//   * online CI half-width early exit (`stop_when_ci_below`),
-//   * an async buffered JSONL sink (sim/sink.hpp) draining
-//     per-replication records off the fold thread.
+//   * online CI half-width early exit (`stop_when_ci_below`).
 //
 // Determinism contract: replications are generated in parallel into a
 // fixed batch of slots by index, then folded into every accumulator in
 // global replication-index order on the calling thread. The statistics —
 // including the P² marker states — are therefore bitwise identical for
 // every thread count, and identical to a serial run. Cancellation is
-// polled between batches: a deadline cuts the run at a batch boundary and
+// polled between batches: a stop cuts the run at a batch boundary and
 // the folded prefix keeps its PointStatus provenance.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "exec/parallel.hpp"
 #include "robust/cancel.hpp"
@@ -59,28 +55,22 @@ class P2Quantile {
   double dpos_[5];     // desired-position increments per sample
 };
 
-/// How replicate_system_streaming runs and when it stops early.
+/// Normal quantile of the two-sided 95% confidence interval that
+/// `stop_when_ci_below` and ci_half_width() use.
+inline constexpr double kCiZ = 1.96;
+
+/// How replicate_system runs and when it stops early.
 struct StreamingOptions {
   BlockSimOptions block;
-  /// Simulator core per replication; kReplay is the legacy materializing
-  /// path (for cross-checking — it still folds streamingly, but cannot
-  /// feed outage-duration quantiles).
-  SimEngine engine = SimEngine::kEvent;
   /// Replications generated (in parallel) per fold batch; also the
   /// cancellation grain and the memory high-water mark.
   std::size_t batch = 4096;
-  /// Early exit: stop once the availability CI half-width (at `ci_z`)
+  /// Early exit: stop once the availability CI half-width (at kCiZ)
   /// drops to or below this value. 0 disables the check.
   double stop_when_ci_below = 0.0;
-  double ci_z = 1.96;
   /// Early exit is never taken before this many replications (variance
   /// estimates on tiny samples are noise).
   std::size_t min_replications = 256;
-  /// When non-empty, every folded replication appends one JSONL record
-  /// through the async sink. Throws std::runtime_error if unwritable.
-  std::string jsonl_path;
-  /// Bounded sink queue (records) before the fold thread backpressures.
-  std::size_t sink_capacity = 4096;
   /// Threading for the per-batch generation loop. `parallel.cancel` is
   /// honored BETWEEN batches (degrade-to-prefix), never inside one.
   exec::ParallelOptions parallel;
@@ -95,8 +85,8 @@ struct StreamingReplicationResult {
   P2Quantile availability_p99{0.99};
   P2Quantile availability_p999{0.999};
   /// Individual merged system outage durations (minutes), streamed in
-  /// time order within each replication. Only the event engine feeds
-  /// these; under kReplay they stay empty (value() is NaN).
+  /// time order within each replication (value() is NaN until the first
+  /// outage).
   P2Quantile outage_minutes_p50{0.50};
   P2Quantile outage_minutes_p99{0.99};
 
@@ -110,17 +100,20 @@ struct StreamingReplicationResult {
   robust::PointStatus status = robust::PointStatus::kOk;
 
   bool complete() const noexcept { return completed == requested; }
-  double ci_half_width(double z = 1.96) const noexcept {
-    return z * availability.std_error();
+  double ci_half_width() const noexcept {
+    return kCiZ * availability.std_error();
   }
 };
 
 /// Monte-Carlo system availability with streaming statistics: peak memory
-/// is O(batch), independent of `replications`. Seeding matches
-/// replicate_system exactly (replication r uses system seed
-/// base_seed + 0x1000 * (r + 1)), so for a fixed seed the folded samples
-/// are bitwise identical to the legacy path, across every thread count.
-StreamingReplicationResult replicate_system_streaming(
+/// is O(batch), independent of `replications`. Replication r is
+/// simulate_system with seed base_seed + 0x1000 * (r + 1), so for a fixed
+/// seed the folded samples equal a serial loop of simulate_system calls,
+/// bitwise, at every thread count. Throws on validation failures and on a
+/// non-positive horizon. A token in `opts.parallel.cancel` degrades
+/// instead of throwing: the result covers the batches folded before it
+/// fired, with `status` recording why the rest never ran.
+StreamingReplicationResult replicate_system(
     const spec::ModelSpec& model, double horizon, std::size_t replications,
     std::uint64_t base_seed, const StreamingOptions& opts = {});
 

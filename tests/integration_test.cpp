@@ -15,7 +15,7 @@
 #include "markov/steady_state.hpp"
 #include "mg/generator.hpp"
 #include "mg/system.hpp"
-#include "sim/system_sim.hpp"
+#include "sim/streaming.hpp"
 #include "spec/parser.hpp"
 #include "spec/validate.hpp"
 #include "spec/writer.hpp"

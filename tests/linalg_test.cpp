@@ -32,42 +32,6 @@ TEST(DenseMatrix, InitializerListRejectsRagged) {
   EXPECT_THROW((DenseMatrix{{1.0, 2.0}, {3.0}}), std::invalid_argument);
 }
 
-TEST(DenseMatrix, Identity) {
-  const DenseMatrix id = DenseMatrix::identity(3);
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_DOUBLE_EQ(id(r, c), r == c ? 1.0 : 0.0);
-    }
-  }
-}
-
-TEST(DenseMatrix, ArithmeticAndTranspose) {
-  const DenseMatrix a{{1.0, 2.0}, {3.0, 4.0}};
-  const DenseMatrix b{{5.0, 6.0}, {7.0, 8.0}};
-  const DenseMatrix sum = a + b;
-  EXPECT_DOUBLE_EQ(sum(0, 0), 6.0);
-  EXPECT_DOUBLE_EQ(sum(1, 1), 12.0);
-  const DenseMatrix diff = b - a;
-  EXPECT_DOUBLE_EQ(diff(0, 1), 4.0);
-  const DenseMatrix scaled = a * 2.0;
-  EXPECT_DOUBLE_EQ(scaled(1, 0), 6.0);
-  const DenseMatrix t = a.transposed();
-  EXPECT_DOUBLE_EQ(t(0, 1), 3.0);
-  EXPECT_DOUBLE_EQ(t(1, 0), 2.0);
-}
-
-TEST(DenseMatrix, MatrixProduct) {
-  const DenseMatrix a{{1.0, 2.0}, {3.0, 4.0}};
-  const DenseMatrix b{{0.0, 1.0}, {1.0, 0.0}};
-  const DenseMatrix c = a * b;
-  EXPECT_DOUBLE_EQ(c(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 4.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 3.0);
-  const DenseMatrix bad(3, 2);
-  EXPECT_THROW(a * bad, std::invalid_argument);
-}
-
 TEST(DenseVectorOps, NormsAndDot) {
   const Vector v{3.0, -4.0};
   EXPECT_DOUBLE_EQ(rascad::linalg::norm1(v), 7.0);
@@ -84,17 +48,6 @@ TEST(DenseVectorOps, NormalizeSum) {
   EXPECT_DOUBLE_EQ(v[1], 0.75);
   Vector zero{0.0, 0.0};
   EXPECT_THROW(rascad::linalg::normalize_sum(zero), std::domain_error);
-}
-
-TEST(DenseVectorOps, MatVec) {
-  const DenseMatrix a{{1.0, 2.0}, {3.0, 4.0}};
-  const Vector x{1.0, 1.0};
-  const Vector y = rascad::linalg::mat_vec(a, x);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 7.0);
-  const Vector yt = rascad::linalg::mat_transpose_vec(a, x);
-  EXPECT_DOUBLE_EQ(yt[0], 4.0);
-  EXPECT_DOUBLE_EQ(yt[1], 6.0);
 }
 
 TEST(CsrMatrix, BuildMergesDuplicates) {

@@ -17,7 +17,7 @@
 #include "sim/block_sim.hpp"
 #include "sim/chain_sim.hpp"
 #include "sim/stats.hpp"
-#include "sim/system_sim.hpp"
+#include "sim/streaming.hpp"
 #include "spec/parser.hpp"
 
 namespace {
@@ -219,14 +219,20 @@ TEST(Determinism, BlockReplicationsBitIdenticalAcrossThreadCounts) {
 
 TEST(Determinism, SystemReplicationsBitIdenticalAcrossThreadCounts) {
   const auto model = parallel_test_model();
-  const auto serial =
-      rascad::sim::replicate_system(model, 30'000.0, 24, 7, {}, threads(1));
+  const auto replicate = [&](std::size_t t) {
+    rascad::sim::StreamingOptions opts;
+    opts.batch = 5;  // misaligned with 24, so the fold crosses batches
+    opts.parallel = threads(t);
+    return rascad::sim::replicate_system(model, 30'000.0, 24, 7, opts);
+  };
+  const auto serial = replicate(1);
+  EXPECT_EQ(serial.completed, 24u);
   for (std::size_t t : kThreadCounts) {
-    const auto rep =
-        rascad::sim::replicate_system(model, 30'000.0, 24, 7, {}, threads(t));
+    const auto rep = replicate(t);
     expect_identical_stats(rep.availability, serial.availability);
     expect_identical_stats(rep.downtime_minutes, serial.downtime_minutes);
     expect_identical_stats(rep.outages, serial.outages);
+    EXPECT_EQ(rep.events, serial.events);
   }
 }
 

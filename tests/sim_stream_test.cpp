@@ -1,20 +1,21 @@
-// Tests for the event-engine simulator and the streaming statistics layer:
-// P² quantile accuracy against exact sorted-sample quantiles, bitwise
-// agreement between the event engine and the legacy replayer, thread-count
-// determinism of the streaming fold, CI early exit, cancellation
-// degradation, and the async JSONL replication sink.
+// Tests for the event-engine simulator and replicate_system: P²
+// quantile accuracy against exact sorted-sample quantiles, bitwise
+// agreement between the event engine and a per-block reference union,
+// agreement of replicate_system with a loop of simulate_system calls,
+// thread-count determinism of the streaming fold, CI early exit, and
+// cancellation degrading to a batch-aligned prefix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <string>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
-#include "sim/event_engine.hpp"
+#include "sim/block_sim.hpp"
 #include "sim/rng.hpp"
-#include "sim/sink.hpp"
 #include "sim/stats.hpp"
 #include "sim/streaming.hpp"
 #include "sim/system_sim.hpp"
@@ -25,8 +26,9 @@ namespace {
 using rascad::sim::BlockSimOptions;
 using rascad::sim::P2Quantile;
 using rascad::sim::SampleStats;
-using rascad::sim::SimEngine;
+using rascad::sim::Interval;
 using rascad::sim::StreamingOptions;
+using rascad::sim::StreamingReplicationResult;
 using rascad::sim::SystemSimResult;
 using rascad::sim::Xoshiro256;
 
@@ -129,7 +131,7 @@ TEST(P2Quantile, OrderIsDeterministic) {
   EXPECT_EQ(a.count(), b.count());
 }
 
-// ---- Event engine vs legacy replayer ---------------------------------------
+// ---- Event engine vs the per-block reference -------------------------------
 
 rascad::spec::ModelSpec test_model() {
   return rascad::spec::parse_model(R"(
@@ -152,6 +154,55 @@ diagram "Sys" {
 )");
 }
 
+/// The reference the event engine must reproduce: every failing block's
+/// windows drained by simulate_block on stream (seed, position + 1), then
+/// sorted by start and merged into their union. No heap, no open-window
+/// sweep, no workspace reuse.
+SystemSimResult reference_union(const rascad::spec::ModelSpec& model,
+                                double horizon, std::uint64_t seed,
+                                const BlockSimOptions& opts = {}) {
+  SystemSimResult result;
+  result.horizon = horizon;
+  std::vector<Interval> windows;
+  const auto blocks = rascad::sim::collect_failing_blocks(model);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    Xoshiro256 rng(seed, i + 1);
+    const auto block = rascad::sim::simulate_block(*blocks[i], model.globals,
+                                                   horizon, rng, opts);
+    result.permanent_faults += block.permanent_faults;
+    result.transient_faults += block.transient_faults;
+    result.service_errors += block.service_errors;
+    result.events += block.events;
+    windows.insert(windows.end(), block.down_intervals.begin(),
+                   block.down_intervals.end());
+  }
+  std::sort(windows.begin(), windows.end(),
+            [](const Interval& a, const Interval& b) {
+              return a.start < b.start;
+            });
+  bool open = false;
+  double cur_start = 0.0;
+  double cur_end = 0.0;
+  for (const Interval& w : windows) {
+    if (open && w.start <= cur_end) {
+      cur_end = std::max(cur_end, w.end);
+      continue;
+    }
+    if (open) {
+      result.down_time += cur_end - cur_start;
+      ++result.outages;
+    }
+    open = true;
+    cur_start = w.start;
+    cur_end = w.end;
+  }
+  if (open) {
+    result.down_time += cur_end - cur_start;
+    ++result.outages;
+  }
+  return result;
+}
+
 void expect_bitwise_equal(const SystemSimResult& a, const SystemSimResult& b,
                           std::uint64_t seed) {
   EXPECT_EQ(a.down_time, b.down_time) << "seed " << seed;
@@ -163,127 +214,182 @@ void expect_bitwise_equal(const SystemSimResult& a, const SystemSimResult& b,
   EXPECT_EQ(a.availability(), b.availability()) << "seed " << seed;
 }
 
-TEST(EventEngine, BitwiseMatchesLegacyExponential) {
+TEST(EventEngine, BitwiseMatchesReferenceUnionExponential) {
   const auto model = test_model();
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto legacy = rascad::sim::simulate_system(model, 50'000.0, seed);
-    const auto event =
-        rascad::sim::simulate_system_events(model, 50'000.0, seed);
-    expect_bitwise_equal(legacy, event, seed);
+    const auto reference = reference_union(model, 50'000.0, seed);
+    const auto event = rascad::sim::simulate_system(model, 50'000.0, seed);
+    expect_bitwise_equal(reference, event, seed);
     EXPECT_GT(event.events, 0u);
+    EXPECT_GT(event.outages, 0u);
   }
 }
 
-TEST(EventEngine, BitwiseMatchesLegacyNonExponential) {
+TEST(EventEngine, BitwiseMatchesReferenceUnionNonExponential) {
   const auto model = test_model();
   BlockSimOptions opts;
   opts.exponential_everything = false;
   opts.repair_cv = 0.4;
   for (std::uint64_t seed = 11; seed <= 16; ++seed) {
-    const auto legacy =
-        rascad::sim::simulate_system(model, 50'000.0, seed, opts);
+    const auto reference = reference_union(model, 50'000.0, seed, opts);
     const auto event =
-        rascad::sim::simulate_system_events(model, 50'000.0, seed, opts);
-    expect_bitwise_equal(legacy, event, seed);
+        rascad::sim::simulate_system(model, 50'000.0, seed, opts);
+    expect_bitwise_equal(reference, event, seed);
   }
 }
 
-TEST(EventEngine, BitwiseMatchesLegacyWithCommonCauseShocks) {
+TEST(EventEngine, BitwiseMatchesReferenceUnionWithCommonCauseShocks) {
   const auto model = test_model();
   const std::vector<double> shocks{500.0, 12'000.0, 30'000.0, 44'000.0};
   BlockSimOptions opts;
   opts.common_cause_times = &shocks;
   opts.p_common_cause = 0.5;
   for (std::uint64_t seed = 21; seed <= 24; ++seed) {
-    const auto legacy =
-        rascad::sim::simulate_system(model, 50'000.0, seed, opts);
+    const auto reference = reference_union(model, 50'000.0, seed, opts);
     const auto event =
-        rascad::sim::simulate_system_events(model, 50'000.0, seed, opts);
-    expect_bitwise_equal(legacy, event, seed);
+        rascad::sim::simulate_system(model, 50'000.0, seed, opts);
+    expect_bitwise_equal(reference, event, seed);
+  }
+}
+
+TEST(EventEngine, TouchingWindowsMergeIntoOneOutage) {
+  // Non-exponential sampling makes every reboot last exactly reboot_time
+  // (0.25 h), so a shock at 100.25 h starts new windows exactly where the
+  // 100 h shock's windows end. Touching windows are one system outage.
+  const auto model = rascad::spec::parse_model(R"(
+globals { reboot_time = 15 min mttm = 12 h mttrfid = 4 h mission_time = 8760 h }
+diagram "Sys" {
+  block "S1" { transient_rate = 1 fit }
+  block "S2" { transient_rate = 1 fit }
+}
+)");
+  const std::vector<double> shocks{100.0, 100.25, 300.0};
+  BlockSimOptions opts;
+  opts.exponential_everything = false;
+  opts.common_cause_times = &shocks;
+  opts.p_common_cause = 1.0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto event = rascad::sim::simulate_system(model, 1'000.0, seed, opts);
+    EXPECT_EQ(event.outages, 2u) << "seed " << seed;
+    EXPECT_EQ(event.down_time, 0.75) << "seed " << seed;
+    expect_bitwise_equal(reference_union(model, 1'000.0, seed, opts), event,
+                         seed);
   }
 }
 
 TEST(EventEngine, RejectsBadHorizon) {
   const auto model = test_model();
-  EXPECT_THROW(rascad::sim::simulate_system_events(model, 0.0, 1),
+  EXPECT_THROW(rascad::sim::simulate_system(model, 0.0, 1),
                std::invalid_argument);
 }
 
-// ---- Streaming replication driver ------------------------------------------
+// ---- replicate_system ------------------------------------------------------
 
-TEST(StreamingSim, BitwiseMatchesLegacyReplicate) {
+/// Bit equality that also holds for the NaN extremes of empty statistics.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_stats(const SampleStats& a, const SampleStats& b,
+                       const char* what) {
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_TRUE(same_bits(a.mean(), b.mean())) << what;
+  EXPECT_TRUE(same_bits(a.variance(), b.variance())) << what;
+  EXPECT_TRUE(same_bits(a.min(), b.min())) << what;
+  EXPECT_TRUE(same_bits(a.max(), b.max())) << what;
+}
+
+/// Every statistic replicate_system folds, compared bit for bit.
+void expect_same_run(const StreamingReplicationResult& a,
+                     const StreamingReplicationResult& b) {
+  expect_same_stats(a.availability, b.availability, "availability");
+  expect_same_stats(a.downtime_minutes, b.downtime_minutes, "downtime");
+  expect_same_stats(a.outages, b.outages, "outages");
+  EXPECT_TRUE(
+      same_bits(a.availability_p50.value(), b.availability_p50.value()));
+  EXPECT_TRUE(
+      same_bits(a.availability_p99.value(), b.availability_p99.value()));
+  EXPECT_TRUE(
+      same_bits(a.availability_p999.value(), b.availability_p999.value()));
+  EXPECT_TRUE(
+      same_bits(a.outage_minutes_p50.value(), b.outage_minutes_p50.value()));
+  EXPECT_TRUE(
+      same_bits(a.outage_minutes_p99.value(), b.outage_minutes_p99.value()));
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.completed, b.completed);
+}
+
+/// What replicate_system must fold: replication r is simulate_system at seed
+/// base_seed + 0x1000 * (r + 1), taken in index order.
+struct LoopFold {
+  SampleStats availability;
+  SampleStats downtime_minutes;
+  SampleStats outages;
+  std::size_t windows = 0;  // merged system outages over all replications
+  std::uint64_t events = 0;
+};
+
+LoopFold loop_of_simulate_system(const rascad::spec::ModelSpec& model,
+                                 double horizon, std::size_t replications,
+                                 std::uint64_t base_seed) {
+  LoopFold fold;
+  for (std::size_t r = 0; r < replications; ++r) {
+    const auto one = rascad::sim::simulate_system(
+        model, horizon, base_seed + 0x1000 * (r + 1));
+    fold.availability.add(one.availability());
+    fold.downtime_minutes.add(one.downtime_minutes());
+    fold.outages.add(static_cast<double>(one.outages));
+    fold.windows += one.outages;
+    fold.events += one.events;
+  }
+  return fold;
+}
+
+TEST(StreamingSim, MatchesLoopOfSimulateSystem) {
   const auto model = test_model();
-  const auto legacy = rascad::sim::replicate_system(model, 20'000.0, 50, 7);
+  const LoopFold loop = loop_of_simulate_system(model, 20'000.0, 50, 7);
 
   StreamingOptions sopts;
   sopts.batch = 7;  // deliberately misaligned with 50 to cross boundaries
-  const auto streaming =
-      rascad::sim::replicate_system_streaming(model, 20'000.0, 50, 7, sopts);
+  const auto run =
+      rascad::sim::replicate_system(model, 20'000.0, 50, 7, sopts);
 
-  EXPECT_EQ(streaming.completed, 50u);
-  EXPECT_TRUE(streaming.complete());
-  EXPECT_EQ(streaming.availability.mean(), legacy.availability.mean());
-  EXPECT_EQ(streaming.availability.variance(), legacy.availability.variance());
-  EXPECT_EQ(streaming.availability.min(), legacy.availability.min());
-  EXPECT_EQ(streaming.availability.max(), legacy.availability.max());
-  EXPECT_EQ(streaming.downtime_minutes.mean(), legacy.downtime_minutes.mean());
-  EXPECT_EQ(streaming.outages.mean(), legacy.outages.mean());
-  EXPECT_GT(streaming.events, 0u);
+  EXPECT_EQ(run.completed, 50u);
+  EXPECT_TRUE(run.complete());
+  expect_same_stats(run.availability, loop.availability, "availability");
+  expect_same_stats(run.downtime_minutes, loop.downtime_minutes, "downtime");
+  expect_same_stats(run.outages, loop.outages, "outages");
+  EXPECT_EQ(run.events, loop.events);
+  EXPECT_GT(run.events, 0u);
 }
 
-TEST(StreamingSim, ReplayEngineMatchesEventEngine) {
+TEST(StreamingSim, OutageQuantilesSeeEveryMergedWindow) {
   const auto model = test_model();
-  StreamingOptions event_opts;
-  event_opts.batch = 16;
-  StreamingOptions replay_opts = event_opts;
-  replay_opts.engine = SimEngine::kReplay;
-
-  const auto ev =
-      rascad::sim::replicate_system_streaming(model, 20'000.0, 40, 3, event_opts);
-  const auto rp = rascad::sim::replicate_system_streaming(model, 20'000.0, 40,
-                                                          3, replay_opts);
-  EXPECT_EQ(ev.availability.mean(), rp.availability.mean());
-  EXPECT_EQ(ev.availability.variance(), rp.availability.variance());
-  EXPECT_EQ(ev.downtime_minutes.mean(), rp.downtime_minutes.mean());
-  EXPECT_EQ(ev.outages.mean(), rp.outages.mean());
-  EXPECT_EQ(ev.events, rp.events);
-  // Only the event engine feeds outage-duration quantiles.
-  EXPECT_GT(ev.outage_minutes_p50.count(), 0u);
-  EXPECT_EQ(rp.outage_minutes_p50.count(), 0u);
-  EXPECT_TRUE(std::isnan(rp.outage_minutes_p50.value()));
+  const LoopFold loop = loop_of_simulate_system(model, 20'000.0, 40, 3);
+  StreamingOptions sopts;
+  sopts.batch = 16;
+  const auto run =
+      rascad::sim::replicate_system(model, 20'000.0, 40, 3, sopts);
+  // One quantile observation per merged system outage of every
+  // replication the loop ran.
+  EXPECT_GT(loop.windows, 0u);
+  EXPECT_EQ(run.outage_minutes_p50.count(), loop.windows);
+  EXPECT_EQ(run.outage_minutes_p99.count(), loop.windows);
+  EXPECT_EQ(run.events, loop.events);
 }
 
 TEST(StreamingSim, DeterministicAcrossThreadCounts) {
   const auto model = test_model();
-  std::vector<rascad::sim::StreamingReplicationResult> runs;
+  std::vector<StreamingReplicationResult> runs;
   for (std::size_t threads : {1u, 2u, 8u}) {
     StreamingOptions sopts;
     sopts.batch = 32;
     sopts.parallel.threads = threads;
-    runs.push_back(rascad::sim::replicate_system_streaming(model, 20'000.0,
-                                                           200, 99, sopts));
+    runs.push_back(
+        rascad::sim::replicate_system(model, 20'000.0, 200, 99, sopts));
   }
   for (std::size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[0].availability.mean(), runs[i].availability.mean());
-    EXPECT_EQ(runs[0].availability.variance(),
-              runs[i].availability.variance());
-    EXPECT_EQ(runs[0].availability.min(), runs[i].availability.min());
-    EXPECT_EQ(runs[0].availability.max(), runs[i].availability.max());
-    EXPECT_EQ(runs[0].downtime_minutes.mean(),
-              runs[i].downtime_minutes.mean());
-    EXPECT_EQ(runs[0].outages.mean(), runs[i].outages.mean());
-    EXPECT_EQ(runs[0].availability_p50.value(),
-              runs[i].availability_p50.value());
-    EXPECT_EQ(runs[0].availability_p99.value(),
-              runs[i].availability_p99.value());
-    EXPECT_EQ(runs[0].availability_p999.value(),
-              runs[i].availability_p999.value());
-    EXPECT_EQ(runs[0].outage_minutes_p50.value(),
-              runs[i].outage_minutes_p50.value());
-    EXPECT_EQ(runs[0].outage_minutes_p99.value(),
-              runs[i].outage_minutes_p99.value());
-    EXPECT_EQ(runs[0].events, runs[i].events);
-    EXPECT_EQ(runs[0].completed, runs[i].completed);
+    expect_same_run(runs[0], runs[i]);
   }
 }
 
@@ -294,12 +400,12 @@ TEST(StreamingSim, EarlyExitOnTightCi) {
   sopts.min_replications = 10;
   sopts.stop_when_ci_below = 1.0;  // any CI satisfies this immediately
   const auto r =
-      rascad::sim::replicate_system_streaming(model, 20'000.0, 1'000, 5, sopts);
+      rascad::sim::replicate_system(model, 20'000.0, 1'000, 5, sopts);
   EXPECT_TRUE(r.early_exit);
   EXPECT_EQ(r.completed, 10u);
   EXPECT_EQ(r.requested, 1'000u);
   EXPECT_EQ(r.status, rascad::robust::PointStatus::kOk);
-  EXPECT_LE(r.ci_half_width(sopts.ci_z), 1.0);
+  EXPECT_LE(r.ci_half_width(), 1.0);
 }
 
 TEST(StreamingSim, PreCancelledTokenCompletesNothing) {
@@ -309,7 +415,7 @@ TEST(StreamingSim, PreCancelledTokenCompletesNothing) {
   sopts.parallel.cancel = rascad::robust::CancelToken::manual();
   sopts.parallel.cancel.request_cancel();
   const auto r =
-      rascad::sim::replicate_system_streaming(model, 20'000.0, 100, 5, sopts);
+      rascad::sim::replicate_system(model, 20'000.0, 100, 5, sopts);
   EXPECT_EQ(r.completed, 0u);
   EXPECT_EQ(r.requested, 100u);
   EXPECT_FALSE(r.early_exit);
@@ -317,51 +423,44 @@ TEST(StreamingSim, PreCancelledTokenCompletesNothing) {
   EXPECT_TRUE(std::isnan(r.availability_p50.value()));
 }
 
+TEST(StreamingSim, CancelFromAnotherThreadLeavesAStraightPrefix) {
+  // The token fires from another thread at an arbitrary moment of the
+  // run. Wherever it lands, replicate_system stops on a batch boundary and the
+  // statistics are exactly those of a straight run over the folded prefix.
+  const auto model = test_model();
+  constexpr std::size_t kBatch = 8;
+  constexpr std::size_t kReplications = 2'000;
+  for (const int delay_us : {0, 100, 500, 2'000, 8'000, 30'000}) {
+    StreamingOptions sopts;
+    sopts.batch = kBatch;
+    sopts.parallel.threads = 2;
+    sopts.parallel.cancel = rascad::robust::CancelToken::manual();
+    std::thread firer([token = sopts.parallel.cancel, delay_us] {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+      token.request_cancel();
+    });
+    const auto cut = rascad::sim::replicate_system(model, 20'000.0,
+                                                   kReplications, 31, sopts);
+    firer.join();
+
+    SCOPED_TRACE(::testing::Message() << "delay " << delay_us
+                                      << " us, completed " << cut.completed);
+    EXPECT_TRUE(cut.completed % kBatch == 0 || cut.complete());
+    EXPECT_EQ(cut.status, cut.complete()
+                              ? rascad::robust::PointStatus::kOk
+                              : rascad::robust::PointStatus::kCancelled);
+    StreamingOptions straight;
+    straight.batch = kBatch;
+    const auto prefix = rascad::sim::replicate_system(
+        model, 20'000.0, cut.completed, 31, straight);
+    expect_same_run(cut, prefix);
+  }
+}
+
 TEST(StreamingSim, RejectsBadHorizon) {
   const auto model = test_model();
-  EXPECT_THROW(
-      rascad::sim::replicate_system_streaming(model, -1.0, 10, 1, {}),
-      std::invalid_argument);
-}
-
-// ---- JSONL replication sink -------------------------------------------------
-
-TEST(StreamingSim, SinkWritesOneLinePerReplication) {
-  const auto model = test_model();
-  const std::string path = ::testing::TempDir() + "sim_stream_sink.jsonl";
-  std::remove(path.c_str());
-
-  StreamingOptions sopts;
-  sopts.batch = 9;
-  sopts.jsonl_path = path;
-  sopts.sink_capacity = 4;  // force backpressure on the fold thread
-  const auto r =
-      rascad::sim::replicate_system_streaming(model, 20'000.0, 30, 13, sopts);
-  EXPECT_EQ(r.completed, 30u);
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::size_t lines = 0;
-  std::size_t last_index = 0;
-  while (std::getline(in, line)) {
-    EXPECT_NE(line.find("\"type\":\"replication\""), std::string::npos);
-    EXPECT_NE(line.find("\"availability\":"), std::string::npos);
-    const auto pos = line.find("\"index\":");
-    ASSERT_NE(pos, std::string::npos);
-    last_index = static_cast<std::size_t>(
-        std::stoul(line.substr(pos + 8)));
-    ++lines;
-  }
-  EXPECT_EQ(lines, 30u);
-  EXPECT_EQ(last_index, 29u);  // records land in replication-index order
-  std::remove(path.c_str());
-}
-
-TEST(ReplicationSink, ThrowsOnUnwritablePath) {
-  EXPECT_THROW(
-      rascad::sim::ReplicationSink("/nonexistent-dir/sink.jsonl", 4),
-      std::runtime_error);
+  EXPECT_THROW(rascad::sim::replicate_system(model, -1.0, 10, 1),
+               std::invalid_argument);
 }
 
 }  // namespace

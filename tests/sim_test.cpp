@@ -13,6 +13,7 @@
 #include "sim/chain_sim.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
+#include "sim/streaming.hpp"
 #include "sim/system_sim.hpp"
 #include "spec/parser.hpp"
 

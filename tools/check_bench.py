@@ -19,7 +19,9 @@ higher-is-better throughput/speedup metrics, up for lower-is-better
 latency metrics) by more than ``max(rel_tol * |baseline|, abs_tol)``.
 The relative tolerance defaults to 15%; near-zero metrics (overhead
 percentages, sub-millisecond latencies) carry an absolute floor so that
-0.04% -> 0.09% overhead does not read as a 125% regression.
+0.04% -> 0.09% overhead does not read as a 125% regression. A metric the
+host cannot move (a byte count) can instead carry a fixed ceiling, judged
+on the snapshot alone with no history baseline.
 
 Exit codes: 0 all gates pass (or no history yet — first run is vacuous),
 1 regression or schema problem, 2 usage.
@@ -40,7 +42,8 @@ from pathlib import Path
 # Gated metrics per bench: (metric, direction, abs_tol).
 # direction 'higher' = regression when the value drops; 'lower' = when it
 # climbs. abs_tol is in the metric's own unit and protects near-zero
-# metrics from the relative check.
+# metrics from the relative check. direction 'ceiling' = the value must not
+# exceed abs_tol, whatever the history says.
 #
 # Tolerance philosophy: machine-invariant *ratios* (speedups, hit rates,
 # overhead percentages) get tight floors — they should not move with host
@@ -73,7 +76,12 @@ GATES = {
     "sim": [
         ("streaming_rps", "higher", 90000.0),
         ("events_per_sec", "higher", 4.0e6),
-        ("rss_growth_mb", "lower", 3.0),
+        # Live-heap high-water growth from the 100k to the 1M replication
+        # run, counted by bench_sim's allocator: 378432-378640 B over 10
+        # runs (the per-slot outage buffers grow with the largest outage
+        # count a slot has seen). The ceiling leaves ~145 KB of headroom; a
+        # leak of one byte per replication adds ~900 KB.
+        ("heap_growth_bytes", "ceiling", 524288.0),
     ],
 }
 
@@ -112,11 +120,18 @@ def check_bench(bench, current, history, window, rel_tol):
                 f"{bench}.{metric}: missing from current snapshot"
             )
             continue
+        value = current[metric]
+        if direction == "ceiling":
+            if value > abs_tol:
+                failures.append(
+                    f"{bench}.{metric}: {value:.6g} above its ceiling "
+                    f"{abs_tol:.6g}"
+                )
+            continue
         samples = [h[metric] for h in trailing if metric in h]
         if not samples:
             continue  # no baseline yet: vacuous pass, reported by caller
         baseline = statistics.median(samples)
-        value = current[metric]
         allowed = max(rel_tol * abs(baseline), abs_tol)
         delta = baseline - value if direction == "higher" else value - baseline
         if delta > allowed:
@@ -167,11 +182,12 @@ def run_check(root, history_path, window, rel_tol):
 
 def selftest(rel_tol):
     """Gate-logic unit test on fabricated data; exit 0 iff all hold."""
-    history = [{"x": 100.0, "lat": 10.0, "ovh": 0.04} for _ in range(3)]
+    history = [{"x": 100.0, "lat": 10.0, "ovh": 0.04, "heap": 50.0}
+               for _ in range(3)]
 
     def fails(current, hist=None):
         gates = [("x", "higher", 0.0), ("lat", "lower", 0.0),
-                 ("ovh", "lower", 1.0)]
+                 ("ovh", "lower", 1.0), ("heap", "ceiling", 100.0)]
         saved = GATES.get("_self")
         GATES["_self"] = gates
         try:
@@ -183,25 +199,30 @@ def selftest(rel_tol):
             else:
                 GATES["_self"] = saved
 
+    def run(**changes):
+        return {"x": 100.0, "lat": 10.0, "ovh": 0.04, "heap": 50.0, **changes}
+
     cases = [
         # (current snapshot, expect_failure, label)
-        ({"x": 100.0, "lat": 10.0, "ovh": 0.04}, False, "identical run"),
-        ({"x": 80.0, "lat": 10.0, "ovh": 0.04}, True,
-         "20% throughput drop must trip the 15% gate"),
-        ({"x": 90.0, "lat": 10.0, "ovh": 0.04}, False,
-         "10% wobble must pass"),
-        ({"x": 100.0, "lat": 12.0, "ovh": 0.04}, True,
-         "20% latency climb must trip"),
-        ({"x": 100.0, "lat": 10.0, "ovh": 0.9}, False,
-         "near-zero metric saved by the absolute floor"),
-        ({"x": 100.0, "lat": 10.0}, True,
+        (run(), False, "identical run"),
+        (run(x=80.0), True, "20% throughput drop must trip the 15% gate"),
+        (run(x=90.0), False, "10% wobble must pass"),
+        (run(lat=12.0), True, "20% latency climb must trip"),
+        (run(ovh=0.9), False, "near-zero metric saved by the absolute floor"),
+        ({"x": 100.0, "lat": 10.0, "heap": 50.0}, True,
          "missing gated metric must trip"),
+        (run(heap=99.0), False,
+         "a ceiling metric passes below its bound despite +98% vs history"),
+        (run(heap=101.0), True, "a ceiling metric above its bound must trip"),
+        (run(heap=101.0), True,
+         "a ceiling metric trips without any history",
+         []),
         # The regressed run is itself the newest history entry (the
         # collect-then-check flow): it must be excluded from its own
         # baseline, not judged against a half-diluted one.
-        ({"x": 80.0, "lat": 10.0, "ovh": 0.04}, True,
+        (run(x=80.0), True,
          "run already appended to history must not dilute its baseline",
-         history + [{"x": 80.0, "lat": 10.0, "ovh": 0.04}]),
+         history + [run(x=80.0)]),
     ]
     ok = True
     for current, expect_fail, label, *extra in cases:
