@@ -80,7 +80,7 @@ rascad::markov::Ctmc deep_chain() {
   return rascad::mg::generate(b, rascad::spec::GlobalParams{}).chain;
 }
 
-/// The healthy-path workload: an incremental single-threaded MTBF sweep of
+/// The healthy-path workload: a single-threaded MTBF sweep of
 /// the Entry Server model against a fresh memo cache. `cancel` is inert
 /// for the baseline run and a never-firing deadline token for the token
 /// run.
@@ -207,8 +207,8 @@ int main(int argc, char** argv) {
   rascad::cache::SolveCache deadline_cache;
   // Every fresh point costs real solver work: the swept Boot Disk becomes
   // a 128-unit redundant block (511 states) whose elimination the request
-  // deadline interrupts at its checkpoints. The baseline MTBF is
-  // the first sweep value, so point 0 reuses the pre-warmed solve.
+  // deadline interrupts at its checkpoints. The pre-warmed MTBF is
+  // the first sweep value, so point 0 is all cache hits.
   rascad::spec::ModelSpec deep_spec = spec;
   rascad::spec::BlockSpec& disk =
       *deep_spec.find_block("Entry Server", "Boot Disk");
@@ -220,8 +220,8 @@ int main(int argc, char** argv) {
   rascad::mg::SystemModel::Options warm_opts;
   warm_opts.cache = &deadline_cache;
   warm_opts.parallel.threads = 1;
-  // Warm the memo cache so the sweep's baseline build is cheap and every
-  // point costs about one fresh solve: the prefix length then
+  // Warm the memo cache so every block the sweep does not touch is a hit
+  // and every point costs about one fresh solve: the prefix length then
   // tracks the deadline instead of the first point swallowing it whole.
   (void)rascad::mg::SystemModel::build(deep_spec, warm_opts);
 

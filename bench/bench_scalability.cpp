@@ -1,6 +1,8 @@
 // E7 — automatic generation at scale: state count, generation time, and
 // solve time as the redundancy depth N-K and the hierarchy width grow
 // ("these states are all generated automatically in RAScad" — Section 4).
+// Exits nonzero unless the W = 100 width row reads exactly W - 1 = 99
+// block-cache hits.
 #include <chrono>
 #include <iomanip>
 #include <iostream>
@@ -137,5 +139,12 @@ int main(int argc, char** argv) {
       .metric("wide_w100_build_ms", wide_max_ms)
       .metric("wide_w100_cache_hits", wide_cache_hits)
       .write(std::cout);
+  // Fills are single-flight, so the W-1 hits are exact at any thread
+  // count; anything else means parameter-identical copies solved twice.
+  if (wide_cache_hits != 99) {
+    std::cerr << "FAIL: wide_w100_cache_hits " << wide_cache_hits
+              << ", expected W-1 = 99\n";
+    return 1;
+  }
   return 0;
 }

@@ -89,7 +89,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < kSweepProbes; ++i) {
     const auto t0 = Clock::now();
     rascad::core::SweepOptions sweep_opts;
-    sweep_opts.incremental = false;
+    // No cache: the default global one is warm from the reference build.
+    sweep_opts.model.cache = nullptr;
     const auto full = rascad::core::sweep_block_parameter(
         model, "Server Box", "Centerplane",
         [](rascad::spec::BlockSpec& b, double v) { b.service_response_h = v; },

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <string>
 #include <utility>
 
@@ -21,57 +22,81 @@ void SolveCache::Table<Value>::bind_metrics(const char* prefix) {
   evictions_metric_ = &registry.counter(p + ".evictions");
 }
 
+namespace {
+
+/// Longest a waiter sleeps before re-polling its own stop token.
+constexpr std::chrono::milliseconds kWaitPoll{1};
+
+}  // namespace
+
 template <typename Value>
-std::optional<Value> SolveCache::Table<Value>::find(const Signature& key) {
-  obs::Span span("cache.lookup");
+SolveCache::Lookup<Value> SolveCache::Table<Value>::get_or_fill(
+    const Signature& key, const std::function<Value()>& fill,
+    const robust::CancelToken& stop) {
   Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mutex);
-  const auto it = s.index.find(key);
-  if (it == s.index.end()) {
+  {
+    obs::Span span("cache.lookup");
+    std::unique_lock<std::mutex> lock(s.mutex);
+    bool waited = false;
+    for (;;) {
+      const auto it = s.index.find(key);
+      if (it != s.index.end()) {
+        ++s.hits;
+        if (obs::enabled() && hits_metric_) {
+          hits_metric_->inc();
+          span.set_detail(waited ? "hit after wait" : "hit");
+        }
+        s.lru.splice(s.lru.begin(), s.lru, it->second);
+        return {it->second->value, false};
+      }
+      if (s.in_flight.insert(key).second) break;  // this caller fills
+      waited = true;
+      robust::throw_if_stopped(stop, "SolveCache: waiting for a fill");
+      s.fill_done.wait_for(lock, kWaitPoll);
+    }
     ++s.misses;
     if (obs::enabled() && misses_metric_) {
       misses_metric_->inc();
-      span.set_detail("miss");
+      span.set_detail(waited ? "miss after wait" : "miss");
     }
-    return std::nullopt;
   }
-  ++s.hits;
-  if (obs::enabled() && hits_metric_) {
-    hits_metric_->inc();
-    span.set_detail("hit");
-  }
-  s.lru.splice(s.lru.begin(), s.lru, it->second);
-  return it->second->value;
-}
 
-template <typename Value>
-void SolveCache::Table<Value>::put(const Signature& key, Value value) {
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mutex);
-  const auto it = s.index.find(key);
-  if (it != s.index.end()) {
-    // Concurrent miss on the same key: the late writer's value is
-    // bit-identical, so overwriting just refreshes recency.
-    it->second->value = std::move(value);
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
-    return;
+  // The fill runs outside the lock and the lookup span. Every exit clears
+  // the in-flight mark and wakes the shard, so after a throw one waiter
+  // takes the fill over.
+  Value value;
+  try {
+    value = fill();
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(s.mutex);
+      s.in_flight.erase(key);
+    }
+    s.fill_done.notify_all();
+    throw;
   }
-  s.lru.push_front(Node{key, std::move(value)});
-  s.index.emplace(key, s.lru.begin());
-  ++s.insertions;
-  if (obs::enabled() && insertions_metric_) insertions_metric_->inc();
-  while (s.lru.size() > per_shard_) {
-    s.index.erase(s.lru.back().key);
-    s.lru.pop_back();
-    ++s.evictions;
-    if (obs::enabled() && evictions_metric_) evictions_metric_->inc();
+  {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    s.in_flight.erase(key);
+    s.lru.push_front(Node{key, value});
+    s.index.emplace(key, s.lru.begin());
+    ++s.insertions;
+    if (obs::enabled() && insertions_metric_) insertions_metric_->inc();
+    while (s.lru.size() > per_shard_) {
+      s.index.erase(s.lru.back().key);
+      s.lru.pop_back();
+      ++s.evictions;
+      if (obs::enabled() && evictions_metric_) evictions_metric_->inc();
+    }
   }
+  s.fill_done.notify_all();
+  return {std::move(value), true};
 }
 
 template <typename Value>
 CacheCounters SolveCache::Table<Value>::counters() const {
   // Consistent snapshot: hold every shard lock before reading any field,
-  // so a find/put that completes concurrently is either fully included or
+  // so a lookup that completes concurrently is either fully included or
   // fully excluded — per-field sums can never mix "before" and "after"
   // states of one operation. Shards are locked in index order (the only
   // multi-shard acquisition in the cache, so no ordering conflicts).
@@ -115,24 +140,16 @@ void SolveCache::bind_metrics(const char* block_prefix,
   curves_.bind_metrics(curve_prefix);
 }
 
-std::optional<CachedBlockSolve> SolveCache::find_block(const Signature& key) {
-  return blocks_.find(key);
+SolveCache::Lookup<CachedBlockSolve> SolveCache::get_or_fill_block(
+    const Signature& key, const BlockFill& fill,
+    const robust::CancelToken& stop) {
+  return blocks_.get_or_fill(key, fill, stop);
 }
 
-void SolveCache::put_block(const Signature& key,
-                           const CachedBlockSolve& value) {
-  blocks_.put(key, value);
-}
-
-std::shared_ptr<const linalg::Vector> SolveCache::find_curve(
-    const Signature& key) {
-  auto found = curves_.find(key);
-  return found ? std::move(*found) : nullptr;
-}
-
-void SolveCache::put_curve(const Signature& key,
-                           std::shared_ptr<const linalg::Vector> curve) {
-  curves_.put(key, std::move(curve));
+SolveCache::Lookup<std::shared_ptr<const linalg::Vector>>
+SolveCache::get_or_fill_curve(const Signature& key, const CurveFill& fill,
+                              const robust::CancelToken& stop) {
+  return curves_.get_or_fill(key, fill, stop);
 }
 
 CacheCounters SolveCache::block_counters() const { return blocks_.counters(); }

@@ -4,17 +4,22 @@
 // The table exists because real models repeat themselves: hierarchies
 // contain parameter-identical blocks, sweeps re-solve a model in which all
 // but one block is unchanged, and sensitivity probes perturb one parameter
-// at a time. A hit returns the exact chain, stationary vector, and
-// measures the producing solve computed — results are bit-identical with
-// and without the cache because a signature match guarantees the generator
-// and solver would have performed the identical arithmetic.
+// at a time. A hit returns the exact chain and measures the producing
+// solve computed — results are bit-identical with and without the cache
+// because a signature match guarantees the generator and solver would have
+// performed the identical arithmetic.
 //
 // Concurrency: keys are striped over fixed shards by hash, each shard a
-// mutex + LRU list + hash map. Lookups and inserts from exec::parallel_for
-// workers contend only within a shard. Concurrent misses on one key may
-// both compute; whoever inserts second simply overwrites with bit-identical
-// content, so determinism is unaffected (only the hit/miss counters are
-// scheduling-dependent).
+// mutex + LRU list + hash map. Lookups from exec::parallel_for workers
+// contend only within a shard. Fills are single-flight: the first miss on
+// a key marks it in flight and runs the fill outside the shard lock; later
+// callers on that key wait on the shard's condition variable and count as
+// hits, so every distinct key is computed once and the counters are
+// independent of scheduling. A fill that throws clears the mark and wakes
+// the waiters, one of which takes the fill over with its own closure and
+// token — a cancelled request never poisons another. Waiters poll their
+// own stop token between timed waits, so cancel latency stays bounded
+// while another caller fills.
 //
 // Interaction with the resilience layer: a cached entry stores the
 // SolveTrace of the solve episode that produced it, so resilience
@@ -22,17 +27,20 @@
 // (SolveSource::kCacheHit) without discarding the original attempts.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "cache/signature.hpp"
 #include "linalg/dense.hpp"
 #include "markov/ctmc.hpp"
 #include "resilience/resilience.hpp"
+#include "robust/cancel.hpp"
 
 namespace rascad::obs {
 class Counter;
@@ -45,7 +53,6 @@ namespace rascad::cache {
 struct CachedBlockSolve {
   std::shared_ptr<const markov::Ctmc> chain;
   markov::StateIndex initial = 0;
-  std::shared_ptr<const linalg::Vector> pi;  // stationary vector
   double availability = 1.0;
   double eq_failure_rate = 0.0;
   /// Episode of the solve that filled this entry.
@@ -55,7 +62,9 @@ struct CachedBlockSolve {
 /// Aggregate counters for one table (blocks or curves). Produced by
 /// SolveCache::block_counters / curve_counters as one consistent snapshot:
 /// all shards are locked before any is read, so concurrent lookups can
-/// never make `hits + misses` disagree with the number of completed finds.
+/// never make `hits + misses` disagree with the number of completed
+/// lookups. A caller that waited for another's fill counts as a hit; one
+/// that ran the fill (first, or taking over a failed one) as a miss.
 struct CacheCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -78,15 +87,32 @@ class SolveCache {
   explicit SolveCache(std::size_t block_capacity = kDefaultCapacity,
                       std::size_t curve_capacity = kDefaultCapacity);
 
-  /// Block-solve table. find_block marks the entry most-recently-used.
-  std::optional<CachedBlockSolve> find_block(const Signature& key);
-  void put_block(const Signature& key, const CachedBlockSolve& value);
+  /// What a get-or-fill call returns: the entry, and whether this call
+  /// ran the fill (a miss) instead of finding the entry or waiting for
+  /// another caller's fill (a hit).
+  template <typename Value>
+  struct Lookup {
+    Value value;
+    bool filled = false;
+  };
+  using BlockFill = std::function<CachedBlockSolve()>;
+  using CurveFill = std::function<std::shared_ptr<const linalg::Vector>()>;
+
+  /// Block-solve table: the entry for `key`, marked most-recently-used,
+  /// or on a miss the result of `fill`, inserted before it is returned.
+  /// Single-flight (see the file comment). A caller waiting on another's
+  /// fill throws SolveError(kCancelled / kDeadlineExceeded) once `stop`
+  /// fires; the filler is unaffected. Exceptions from `fill` propagate and
+  /// leave no entry.
+  Lookup<CachedBlockSolve> get_or_fill_block(
+      const Signature& key, const BlockFill& fill,
+      const robust::CancelToken& stop = {});
 
   /// Sampled-curve table (reward / survival curves keyed by chain
-  /// signature + curve kind + horizon + step count).
-  std::shared_ptr<const linalg::Vector> find_curve(const Signature& key);
-  void put_curve(const Signature& key,
-                 std::shared_ptr<const linalg::Vector> curve);
+  /// signature + curve kind + horizon + step count); same contract.
+  Lookup<std::shared_ptr<const linalg::Vector>> get_or_fill_curve(
+      const Signature& key, const CurveFill& fill,
+      const robust::CancelToken& stop = {});
 
   CacheCounters block_counters() const;
   CacheCounters curve_counters() const;
@@ -116,8 +142,9 @@ class SolveCache {
     /// (observability-gated; registry totals span every cache instance
     /// bound to the prefix).
     void bind_metrics(const char* prefix);
-    std::optional<Value> find(const Signature& key);
-    void put(const Signature& key, Value value);
+    Lookup<Value> get_or_fill(const Signature& key,
+                              const std::function<Value()>& fill,
+                              const robust::CancelToken& stop);
     CacheCounters counters() const;
     void clear();
 
@@ -128,10 +155,14 @@ class SolveCache {
     };
     struct Shard {
       mutable std::mutex mutex;
+      /// Signalled whenever a fill in this shard ends, inserted or thrown.
+      std::condition_variable fill_done;
       std::list<Node> lru;  // front = most recently used
       std::unordered_map<Signature, typename std::list<Node>::iterator,
                          SignatureHash>
           index;
+      /// Keys whose fill is running on some caller right now.
+      std::unordered_set<Signature, SignatureHash> in_flight;
       std::uint64_t hits = 0;
       std::uint64_t misses = 0;
       std::uint64_t insertions = 0;

@@ -34,7 +34,7 @@ struct BlockImportance {
   /// The block's own yearly downtime contribution (minutes).
   double yearly_downtime_min = 0.0;
   /// Provenance of the block's steady-state solve in the analysed system
-  /// ("fresh", "cache-hit", or "baseline-reuse") — see resilience::SolveSource.
+  /// ("fresh" or "cache-hit") — see resilience::SolveSource.
   std::string solve_source = "fresh";
   /// States the producing solve episode eliminated for this block.
   std::size_t solve_iterations = 0;

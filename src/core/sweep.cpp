@@ -3,7 +3,6 @@
 #include <cmath>
 #include <exception>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -33,18 +32,9 @@ SweepPoint summarize(const mg::SystemModel& system, double value) {
       case resilience::SolveSource::kCacheHit:
         ++p.cached_blocks;
         break;
-      case resilience::SolveSource::kBaselineReuse:
-        ++p.reused_blocks;
-        break;
     }
   }
-  if (p.fresh_blocks == 0 && p.cached_blocks == 0) {
-    p.solve_source = "baseline";
-  } else if (p.fresh_blocks == 0) {
-    p.solve_source = "cache";
-  } else {
-    p.solve_source = "fresh";
-  }
+  p.solve_source = p.fresh_blocks == 0 ? "cache" : "fresh";
   return p;
 }
 
@@ -70,9 +60,7 @@ std::vector<SweepPoint> run_sweep(
     const std::vector<double>& values, const SweepOptions& opts) {
   obs::Span sweep_span("sweep.run");
   if (sweep_span.active()) {
-    sweep_span.set_detail(
-        "points=" + std::to_string(values.size()) +
-        (opts.incremental ? " incremental" : " full"));
+    sweep_span.set_detail("points=" + std::to_string(values.size()));
   }
   const auto observe_point = [](std::size_t i, const auto& body) {
     obs::Span point_span("sweep.point");
@@ -87,7 +75,7 @@ std::vector<SweepPoint> run_sweep(
   std::vector<SweepPoint> points(values.size());
 
   // A request token opts the sweep into graceful degradation; it also fans
-  // into every build/rebuild so already-running solves stop at their next
+  // into every build so already-running solves stop at their next
   // checkpoint instead of finishing a doomed point.
   const robust::CancelToken stop = opts.parallel.cancel;
   const bool degrade = stop.valid();
@@ -95,84 +83,48 @@ std::vector<SweepPoint> run_sweep(
   if (degrade && !model_opts.parallel.cancel.valid()) {
     model_opts.parallel.cancel = stop;
   }
-
-  /// Baseline build for the incremental paths. In degraded mode a failed /
-  /// cancelled baseline marks every point instead of throwing.
-  const auto build_baseline = [&]() -> std::optional<mg::SystemModel> {
-    if (!degrade) return mg::SystemModel::build(base, model_opts);
-    try {
-      return mg::SystemModel::build(base, model_opts);
-    } catch (...) {
-      const auto folded =
-          robust::point_status_from_exception(std::current_exception());
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        points[i] = degraded_point(values[i], folded.first,
-                                   "baseline build: " + folded.second);
-      }
-      return std::nullopt;
-    }
+  /// Every point is a full build on the caller's cache: blocks the sweep
+  /// value cannot reach are cache hits. Strict mode is the throwing
+  /// parallel_for; degraded mode records per-point statuses and marks the
+  /// indices the stop token kept from running at all.
+  const auto solve_one = [&](std::size_t i) {
+    spec::ModelSpec model = base;
+    mutate_model(model, values[i]);
+    return summarize(mg::SystemModel::build(std::move(model), model_opts),
+                     values[i]);
   };
-
-  /// Point loop shared by the incremental and full paths: strict mode is
-  /// the historical throwing parallel_for; degraded mode records per-point
-  /// statuses and marks indices the stop token kept from running at all.
-  const auto run_points =
-      [&](const std::function<SweepPoint(std::size_t)>& solve_one) {
-        if (!degrade) {
-          exec::parallel_for(
-              values.size(),
-              [&](std::size_t i) {
-                observe_point(i, [&] { points[i] = solve_one(i); });
-              },
-              opts.parallel);
-          return;
-        }
-        std::vector<char> done(values.size(), 0);
-        exec::parallel_for_status(
-            values.size(),
-            [&](std::size_t i) {
-              observe_point(i, [&] {
-                try {
-                  points[i] = solve_one(i);
-                } catch (...) {
-                  auto folded = robust::point_status_from_exception(
-                      std::current_exception());
-                  points[i] = degraded_point(values[i], folded.first,
-                                             std::move(folded.second));
-                }
-                done[i] = 1;
-              });
-            },
-            opts.parallel);
-        for (std::size_t i = 0; i < values.size(); ++i) {
-          if (done[i]) continue;
-          const robust::StopReason r = stop.reason();
-          points[i] = degraded_point(
-              values[i], robust::point_status_from(r),
-              std::string("point skipped (") + robust::to_string(r) + ")");
-        }
-      };
-
-  if (opts.incremental) {
-    // One full solve of the base spec; every point then re-solves only the
-    // blocks its mutation dirties (signature diff inside rebuild). The
-    // baseline is read-only here, so points still run in parallel.
-    std::optional<mg::SystemModel> baseline = build_baseline();
-    if (!baseline) return points;
-    run_points([&](std::size_t i) {
-      spec::ModelSpec model = base;
-      mutate_model(model, values[i]);
-      return summarize(
-          mg::SystemModel::rebuild(*baseline, std::move(model), model_opts),
-          values[i]);
-    });
-  } else {
-    run_points([&](std::size_t i) {
-      spec::ModelSpec model = base;
-      mutate_model(model, values[i]);
-      return summarize(mg::SystemModel::build(std::move(model), model_opts),
-                       values[i]);
-    });
+  if (!degrade) {
+    exec::parallel_for(
+        values.size(),
+        [&](std::size_t i) {
+          observe_point(i, [&] { points[i] = solve_one(i); });
+        },
+        opts.parallel);
+    return points;
+  }
+  std::vector<char> done(values.size(), 0);
+  exec::parallel_for_status(
+      values.size(),
+      [&](std::size_t i) {
+        observe_point(i, [&] {
+          try {
+            points[i] = solve_one(i);
+          } catch (...) {
+            auto folded = robust::point_status_from_exception(
+                std::current_exception());
+            points[i] = degraded_point(values[i], folded.first,
+                                       std::move(folded.second));
+          }
+          done[i] = 1;
+        });
+      },
+      opts.parallel);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (done[i]) continue;
+    const robust::StopReason r = stop.reason();
+    points[i] = degraded_point(
+        values[i], robust::point_status_from(r),
+        std::string("point skipped (") + robust::to_string(r) + ")");
   }
   return points;
 }

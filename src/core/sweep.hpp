@@ -19,15 +19,19 @@ struct SweepPoint {
   double availability = 1.0;
   double yearly_downtime_min = 0.0;
   double eq_failure_rate = 0.0;
-  /// Dominant provenance of this point's block solves: "baseline" when
-  /// every block was reused from the incremental baseline, "cache" when
-  /// everything else came from the memo table, "fresh" when at least one
-  /// chain was generated and solved from scratch. Informational — the
-  /// numeric series above is bit-identical regardless of provenance.
+  /// Dominant provenance of this point's block solves: "cache" when every
+  /// block came from the memo table, "fresh" when at least one chain was
+  /// generated and solved for this point. Informational — the numeric
+  /// series above is bit-identical regardless of provenance. Points of
+  /// one sweep share the cache, so which point pays for a block the
+  /// points have in common depends on scheduling; the sum of
+  /// `fresh_blocks` over a sweep does not.
   std::string solve_source = "fresh";
   std::size_t fresh_blocks = 0;   // generated + solved this point
   std::size_t cached_blocks = 0;  // served from the memo table
-  std::size_t reused_blocks = 0;  // carried over from the baseline model
+  /// Always 0: every reuse is a cache hit (`cached_blocks`). Kept for
+  /// the CSV column and the readers of it.
+  std::size_t reused_blocks = 0;
   /// States eliminated on this point (sum over the fresh solves'
   /// attempts; 0 for a fully reused point).
   std::size_t solve_iterations = 0;
@@ -44,20 +48,18 @@ struct SweepPoint {
   bool ok() const noexcept { return status == robust::PointStatus::kOk; }
 };
 
-/// Knobs for the sweep drivers. `model` flows into every SystemModel
-/// build/rebuild (solver options, curve steps, memo cache); `incremental`
-/// selects the rebuild path: solve the base spec once, then re-solve only
-/// the blocks each sweep value actually dirties. Both paths produce
-/// bit-identical series — incremental only changes how much work is done.
+/// Knobs for the sweep drivers. `model` flows into every point's
+/// SystemModel::build (solver options, curve steps, memo cache). The memo
+/// cache is what makes a sweep incremental: a block the swept value cannot
+/// reach has the same chain signature at every point and is solved once.
 struct SweepOptions {
   /// Thread count / grain for the point loop. Setting `parallel.cancel`
   /// additionally opts the sweep into graceful degradation: the token fans
-  /// into every build/rebuild (down to the solver iteration loops), and a
-  /// stop no longer throws — unfinished points are returned with their
+  /// into every build (down to the solver iteration loops), and a stop no
+  /// longer throws — unfinished points are returned with their
   /// PointStatus instead.
   exec::ParallelOptions parallel;
   mg::SystemModel::Options model;
-  bool incremental = true;
 };
 
 /// Mutator applied to the targeted block for each sweep value.
@@ -83,9 +85,9 @@ std::vector<SweepPoint> sweep_block_parameter(
     const std::vector<double>& values, const exec::ParallelOptions& par = {});
 
 /// Sweeps a global parameter over all values. Same parallelism and
-/// determinism contract as sweep_block_parameter. On the incremental path
-/// a global edit re-solves only the blocks whose derived rates it reaches
-/// (signature masking); blocks it cannot affect are baseline reuses.
+/// determinism contract as sweep_block_parameter. A global edit re-solves
+/// only the blocks whose derived rates it reaches (signature masking);
+/// with a cache, blocks it cannot affect are solved once for the sweep.
 std::vector<SweepPoint> sweep_global_parameter(
     const spec::ModelSpec& base, const GlobalMutator& mutate,
     const std::vector<double>& values, const SweepOptions& opts);

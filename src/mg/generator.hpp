@@ -107,8 +107,8 @@ GeneratedModel generate(const spec::BlockSpec& block,
 /// blocks with equal signatures generate bit-identical chains (same
 /// states, rewards, and transition rates); editing a parameter — or a
 /// global — that does not reach a block's rates leaves its signature
-/// unchanged, which is what makes incremental rebuilds and global-sweep
-/// reuse precise. The masking rules are documented in docs/caching.md
+/// unchanged, which is what makes cache reuse across sweep points
+/// precise. The masking rules are documented in docs/caching.md
 /// and asserted by cache_test.cpp.
 cache::Signature chain_signature(const spec::BlockSpec& block,
                                  const spec::GlobalParams& globals,

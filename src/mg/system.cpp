@@ -146,28 +146,31 @@ linalg::Vector sample_curve(const SystemModel::BlockEntry& b,
 }
 
 /// Memoized sampling of one block curve: consult `cache` (may be null),
-/// otherwise sample it and insert the result.
+/// otherwise sample it and insert the result. `stop` bounds a wait on
+/// another caller's sampling of the same curve.
 std::shared_ptr<const linalg::Vector> sample_curve_cached(
     const SystemModel::BlockEntry& block, std::uint64_t kind, double horizon,
-    std::size_t steps, cache::SolveCache* cache) {
+    std::size_t steps, cache::SolveCache* cache,
+    const robust::CancelToken& stop) {
   obs::Span span("curve.sample");
-  cache::Signature key;
-  if (cache) {
-    key = curve_key(block.signature, kind, horizon, steps);
-    if (std::shared_ptr<const linalg::Vector> hit = cache->find_curve(key)) {
-      if (span.active()) {
-        span.set_detail(block.diagram + "/" + block.block.name + " hit");
-      }
-      return hit;
+  const auto sample = [&] {
+    return std::make_shared<const linalg::Vector>(
+        sample_curve(block, kind, horizon, steps));
+  };
+  if (!cache) {
+    if (span.active()) {
+      span.set_detail(block.diagram + "/" + block.block.name + " sampled");
     }
+    return sample();
   }
+  auto found = cache->get_or_fill_curve(
+      curve_key(block.signature, kind, horizon, steps), std::cref(sample),
+      stop);
   if (span.active()) {
-    span.set_detail(block.diagram + "/" + block.block.name + " sampled");
+    span.set_detail(block.diagram + "/" + block.block.name +
+                    (found.filled ? " sampled" : " hit"));
   }
-  auto curve = std::make_shared<const linalg::Vector>(
-      sample_curve(block, kind, horizon, steps));
-  if (cache) cache->put_curve(key, curve);
-  return curve;
+  return std::move(found.value);
 }
 
 /// Per-query transient RBD: every block's `kind` curve, sampled in
@@ -181,8 +184,8 @@ rbd::RbdNodePtr curve_tree(const SystemModel& sm, std::uint64_t kind,
   exec::parallel_for(
       blocks.size(),
       [&](std::size_t i) {
-        curves[i] =
-            sample_curve_cached(blocks[i], kind, horizon, steps, opts.cache);
+        curves[i] = sample_curve_cached(blocks[i], kind, horizon, steps,
+                                        opts.cache, opts.parallel.cancel);
       },
       opts.parallel);
   return compose_tree(sm.spec(), [&](std::size_t i,
@@ -219,60 +222,53 @@ SystemModel::BlockEntry solve_block_cached(
   SystemModel::BlockEntry entry;
   entry.diagram = diagram;
   entry.block = block;
+  entry.type = classify(block);
   entry.signature = chain_signature(block, globals);
-  cache::Signature key = entry.signature;
-  key.append(solver_sig);
 
+  const auto solve = [&] {
+    GeneratedModel generated = [&] {
+      obs::Span gen_span("mg.generate");
+      if (gen_span.active()) gen_span.set_detail(diagram + "/" + block.name);
+      return generate(block, globals);
+    }();
+    resilience::ResilientResult solved =
+        resilience::solve_steady_state_resilient(generated.chain, config);
+    cache::CachedBlockSolve value;
+    value.initial = generated.initial;
+    value.availability =
+        markov::expected_reward(generated.chain, solved.result.pi);
+    value.eq_failure_rate =
+        markov::equivalent_failure_rate(generated.chain, solved.result.pi);
+    value.chain =
+        std::make_shared<const markov::Ctmc>(std::move(generated.chain));
+    value.trace = std::move(solved.trace);
+    value.trace.source = resilience::SolveSource::kFresh;  // the producer
+    return value;
+  };
+  cache::SolveCache::Lookup<cache::CachedBlockSolve> found;
   if (cache) {
-    if (std::optional<cache::CachedBlockSolve> hit = cache->find_block(key)) {
-      entry.chain = std::move(hit->chain);
-      entry.type = classify(block);
-      entry.initial = hit->initial;
-      entry.availability = hit->availability;
-      entry.yearly_downtime_min = yearly_downtime_minutes(hit->availability);
-      entry.eq_failure_rate = hit->eq_failure_rate;
-      entry.solve_trace = std::move(hit->trace);
-      entry.solve_trace.source = resilience::SolveSource::kCacheHit;
-      if (solve_span.active()) {
-        solve_span.set_detail(diagram + "/" + block.name + " " +
-                              to_string(entry.solve_trace.source));
-      }
-      return entry;
-    }
+    cache::Signature key = entry.signature;
+    key.append(solver_sig);
+    // std::cref: the fill is wrapped by reference, so a hit allocates
+    // nothing for the fill it does not run.
+    found = cache->get_or_fill_block(key, std::cref(solve),
+                                     config.base.cancel);
+  } else {
+    found = {solve(), true};
   }
 
-  GeneratedModel generated = [&] {
-    obs::Span gen_span("mg.generate");
-    if (gen_span.active()) gen_span.set_detail(diagram + "/" + block.name);
-    return generate(block, globals);
-  }();
-  resilience::ResilientResult solved =
-      resilience::solve_steady_state_resilient(generated.chain, config);
-  const markov::SteadyStateResult& steady = solved.result;
-  entry.solve_trace = std::move(solved.trace);
-  entry.solve_trace.source = resilience::SolveSource::kFresh;
+  cache::CachedBlockSolve& value = found.value;
+  entry.chain = std::move(value.chain);
+  entry.initial = value.initial;
+  entry.availability = value.availability;
+  entry.yearly_downtime_min = yearly_downtime_minutes(value.availability);
+  entry.eq_failure_rate = value.eq_failure_rate;
+  entry.solve_trace = std::move(value.trace);
+  entry.solve_trace.source = found.filled ? resilience::SolveSource::kFresh
+                                          : resilience::SolveSource::kCacheHit;
   if (solve_span.active()) {
     solve_span.set_detail(diagram + "/" + block.name + " " +
                           to_string(entry.solve_trace.source));
-  }
-  entry.type = generated.type;
-  entry.initial = generated.initial;
-  entry.availability = markov::expected_reward(generated.chain, steady.pi);
-  entry.yearly_downtime_min = yearly_downtime_minutes(entry.availability);
-  entry.eq_failure_rate =
-      markov::equivalent_failure_rate(generated.chain, steady.pi);
-  entry.chain =
-      std::make_shared<const markov::Ctmc>(std::move(generated.chain));
-
-  if (cache) {
-    cache::CachedBlockSolve value;
-    value.chain = entry.chain;
-    value.initial = entry.initial;
-    value.pi = std::make_shared<const linalg::Vector>(steady.pi);
-    value.availability = entry.availability;
-    value.eq_failure_rate = entry.eq_failure_rate;
-    value.trace = entry.solve_trace;  // source == kFresh: the producer
-    cache->put_block(key, value);
   }
   return entry;
 }
@@ -291,7 +287,7 @@ SystemModel SystemModel::build(spec::ModelSpec model, const Options& opts) {
 
   const resilience::ResilienceConfig solve_config =
       resilience::config_from(opts.steady, opts.parallel.cancel);
-  sm.solver_sig_ = solver_signature(solve_config);
+  const cache::Signature solver_sig = solver_signature(solve_config);
 
   // Generate and solve every block chain in parallel. Entries are written
   // by visit index, so the block table — and each entry's SolveTrace —
@@ -309,96 +305,7 @@ SystemModel SystemModel::build(spec::ModelSpec model, const Options& opts) {
       [&](std::size_t i) {
         sm.blocks_[i] = solve_block_cached(
             pending[i].first->name, *pending[i].second, sm.spec_.globals,
-            solve_config, sm.solver_sig_, opts.cache);
-      },
-      opts.parallel);
-
-  sm.root_ = steady_tree(sm.spec_, sm.blocks_);
-  return sm;
-}
-
-SystemModel SystemModel::rebuild(const SystemModel& base,
-                                 spec::ModelSpec changed,
-                                 const Options& opts) {
-  obs::Span rebuild_span("system.rebuild");
-  spec::validate_or_throw(changed);
-  const resilience::ResilienceConfig solve_config =
-      resilience::config_from(opts.steady, opts.parallel.cancel);
-  cache::Signature solver_sig = solver_signature(solve_config);
-
-  SystemModel sm;
-  sm.spec_ = std::move(changed);  // pending points into sm.spec_ below
-  sm.opts_ = opts;
-
-  // The diff pairs blocks by visit index, so the hierarchy must match the
-  // baseline block-for-block (and the solver settings must match, or the
-  // baseline's numbers would vouch for a different configuration).
-  std::vector<std::pair<const spec::DiagramSpec*, const spec::BlockSpec*>>
-      pending;
-  collect_chain_blocks(sm.spec_, sm.spec_.root(), pending);
-  bool compatible = pending.size() == base.blocks_.size() &&
-                    solver_sig == base.solver_sig_;
-  for (std::size_t i = 0; compatible && i < pending.size(); ++i) {
-    compatible = pending[i].first->name == base.blocks_[i].diagram &&
-                 pending[i].second->name == base.blocks_[i].block.name;
-  }
-  if (!compatible) {
-    // Detail recorded before the fallback so the trace shows this rebuild
-    // degenerated into a full build (whose own span nests underneath).
-    if (rebuild_span.active()) rebuild_span.set_detail("incompatible");
-    return build(std::move(sm.spec_), opts);
-  }
-
-  sm.solver_sig_ = std::move(solver_sig);
-  sm.blocks_.resize(pending.size());
-
-  // Serial diff (cheap), then only the dirty blocks re-solve — in
-  // parallel, written by index, so the result is bit-identical to a full
-  // build for every thread count. Field-equal specs under unchanged
-  // globals are provably clean without recomputing their signature; only
-  // edited blocks (or every block, after a global edit) fall through to
-  // the canonical-signature comparison, which is what applies the
-  // per-family masking rules.
-  const bool globals_same = sm.spec_.globals == base.spec_.globals;
-  std::vector<std::size_t> dirty;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    const bool clean =
-        (globals_same && *pending[i].second == base.blocks_[i].block) ||
-        chain_signature(*pending[i].second, sm.spec_.globals) ==
-            base.blocks_[i].signature;
-    if (clean) {
-      BlockEntry entry = base.blocks_[i];
-      entry.block = *pending[i].second;  // carry spec-only edits (names ok)
-      entry.solve_trace.source = resilience::SolveSource::kBaselineReuse;
-      sm.blocks_[i] = std::move(entry);
-    } else {
-      dirty.push_back(i);
-    }
-  }
-  if (obs::enabled()) {
-    if (rebuild_span.active()) {
-      rebuild_span.set_detail(
-          "blocks=" + std::to_string(pending.size()) +
-          " dirty=" + std::to_string(dirty.size()) +
-          " reused=" + std::to_string(pending.size() - dirty.size()));
-    }
-    static obs::Counter& rebuilds =
-        obs::Registry::global().counter("system.rebuilds");
-    static obs::Counter& dirty_blocks =
-        obs::Registry::global().counter("system.rebuild.dirty_blocks");
-    static obs::Counter& reused_blocks =
-        obs::Registry::global().counter("system.rebuild.reused_blocks");
-    rebuilds.inc();
-    dirty_blocks.inc(dirty.size());
-    reused_blocks.inc(pending.size() - dirty.size());
-  }
-  exec::parallel_for(
-      dirty.size(),
-      [&](std::size_t j) {
-        const std::size_t i = dirty[j];
-        sm.blocks_[i] = solve_block_cached(
-            pending[i].first->name, *pending[i].second, sm.spec_.globals,
-            solve_config, sm.solver_sig_, opts.cache);
+            solve_config, solver_sig, opts.cache);
       },
       opts.parallel);
 

@@ -55,8 +55,8 @@ class SystemModel {
     double yearly_downtime_min = 0.0;
     double eq_failure_rate = 0.0;
     /// Solve episode that produced this block's stationary solution; its
-    /// `source` records whether the numbers came from a fresh solve, the
-    /// memo cache, or baseline reuse during an incremental rebuild.
+    /// `source` records whether the numbers came from a fresh solve or
+    /// the memo cache.
     resilience::SolveTrace solve_trace;
     /// Canonical chain signature (mg::chain_signature) — the memo key
     /// minus the solver-configuration words.
@@ -70,21 +70,6 @@ class SystemModel {
   static SystemModel build(spec::ModelSpec model, const Options& opts);
   static SystemModel build(spec::ModelSpec model) {
     return build(std::move(model), Options{});
-  }
-
-  /// Incremental rebuild against a solved baseline: re-generates and
-  /// re-solves only the blocks whose chain signature differs from the
-  /// baseline's (a global edit therefore dirties only the blocks it
-  /// actually feeds), reuses every untouched BlockEntry (sharing the
-  /// chain), and recomposes the RBD. Falls back to a full build when the
-  /// hierarchy structure changed (block added / removed / renamed /
-  /// reordered) or the solver configuration differs from the baseline's.
-  /// Results are bit-identical to a full build of `changed`.
-  static SystemModel rebuild(const SystemModel& base, spec::ModelSpec changed,
-                             const Options& opts);
-  static SystemModel rebuild(const SystemModel& base,
-                             spec::ModelSpec changed) {
-    return rebuild(base, std::move(changed), base.opts_);
   }
 
   /// Steady-state system availability (product over the serial hierarchy).
@@ -136,9 +121,6 @@ class SystemModel {
   Options opts_;
   rbd::RbdNodePtr root_;
   std::vector<BlockEntry> blocks_;
-  /// Signature of the solver configuration the block solves ran under;
-  /// part of every memo key and the rebuild compatibility check.
-  cache::Signature solver_sig_;
 };
 
 /// Signature words of a resilience configuration. Appended to a chain
@@ -148,7 +130,9 @@ cache::Signature solver_signature(const resilience::ResilienceConfig& config);
 
 /// Generates and solves one block through the resilience layer,
 /// consulting `cache` (may be null). The shared primitive behind
-/// SystemModel::build / rebuild and the memoized sensitivity probes.
+/// SystemModel::build and the memoized sensitivity probes. Concurrent
+/// callers on one key share a single solve; one waiting on another's
+/// solve stops with `config.base.cancel`.
 SystemModel::BlockEntry solve_block_cached(
     const std::string& diagram, const spec::BlockSpec& block,
     const spec::GlobalParams& globals,

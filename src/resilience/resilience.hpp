@@ -68,21 +68,19 @@ struct SolveAttempt {
   double duration_ms = 0.0;
 };
 
-/// Where a solution came from, now that block solves can be memoized or
-/// reused from a baseline model. A non-fresh trace still carries the
-/// attempts of the episode that originally produced the numbers, so
-/// resilience reporting stays honest about how they were computed.
+/// Where a solution came from, now that block solves can be memoized. A
+/// cache hit still carries the attempts of the episode that originally
+/// produced the numbers, so resilience reporting stays honest about how
+/// they were computed.
 enum class SolveSource {
-  kFresh,          // an episode ran for this request
-  kCacheHit,       // copied from the solve-memoization cache
-  kBaselineReuse,  // reused from a baseline SystemModel during rebuild
+  kFresh,     // an episode ran for this request
+  kCacheHit,  // copied from the solve-memoization cache
 };
 
 inline const char* to_string(SolveSource source) {
   switch (source) {
     case SolveSource::kFresh: return "fresh";
     case SolveSource::kCacheHit: return "cache-hit";
-    case SolveSource::kBaselineReuse: return "baseline-reuse";
   }
   return "unknown";
 }

@@ -660,7 +660,6 @@ Frame Service::do_sweep(const std::shared_ptr<Session>& session,
 
   core::SweepOptions opts;
   opts.model.cache = &cache_;
-  opts.incremental = true;
   // The request token in the loop options is what buys degradation: a
   // deadline mid-sweep yields the completed prefix, and the un-run points
   // come back with their PointStatus instead of an exception.

@@ -29,7 +29,7 @@ namespace rascad::sim {
 /// schedulable slots and the event heap survive across replications, so
 /// the hot loop allocates nothing after the first call. Not thread-safe —
 /// one workspace per concurrent caller (the streaming driver keeps one
-/// per batch slot). Never affects results; only allocation traffic.
+/// per worker lane). Never affects results; only allocation traffic.
 class EventWorkspace {
  public:
   EventWorkspace();

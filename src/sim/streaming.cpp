@@ -126,7 +126,6 @@ struct Slot {
   double outages = 0.0;
   std::uint64_t events = 0;
   std::vector<double> outage_min;  // merged window lengths, cleared per use
-  EventWorkspace workspace;        // engine scratch, reused across batches
 };
 
 }  // namespace
@@ -153,6 +152,13 @@ StreamingReplicationResult replicate_system(
   const std::size_t batch = std::max<std::size_t>(1, opts.batch);
   std::vector<Slot> slots(std::min(batch, std::max<std::size_t>(
                                               replications, 1)));
+  // Engine scratch per lane, not per slot: lane k runs slots k, k + lanes,
+  // ... of every batch, so only as many workspaces exist as can run at
+  // once. A workspace never affects results, so neither does the striding.
+  const std::size_t threads = opts.parallel.threads != 0
+                                  ? opts.parallel.threads
+                                  : exec::default_thread_count();
+  std::vector<EventWorkspace> workspaces(std::min(slots.size(), threads));
 
   // The outer loop owns cancellation: the token is polled between batches
   // so a cut lands on a batch boundary and the folded prefix stays a
@@ -161,6 +167,7 @@ StreamingReplicationResult replicate_system(
   // index-ordered fold).
   exec::ParallelOptions inner = opts.parallel;
   inner.cancel = robust::CancelToken{};
+  inner.grain = 1;  // the lanes are the chunks
 
   using Clock = std::chrono::steady_clock;
 
@@ -174,20 +181,23 @@ StreamingReplicationResult replicate_system(
     const std::size_t n = std::min(batch, replications - next);
     const Clock::time_point t0 = Clock::now();
 
+    const std::size_t lanes = std::min(n, workspaces.size());
     exec::parallel_for(
-        n,
-        [&](std::size_t i) {
-          Slot& s = slots[i];
-          s.outage_min.clear();
-          const std::uint64_t seed =
-              base_seed + 0x1000 * static_cast<std::uint64_t>(next + i + 1);
-          const SystemSimResult one = simulate_replication_events(
-              blocks, model.globals, horizon, seed, opts.block,
-              &s.outage_min, &s.workspace);
-          s.availability = one.availability();
-          s.downtime_min = one.downtime_minutes();
-          s.outages = static_cast<double>(one.outages);
-          s.events = one.events;
+        lanes,
+        [&](std::size_t lane) {
+          for (std::size_t i = lane; i < n; i += lanes) {
+            Slot& s = slots[i];
+            s.outage_min.clear();
+            const std::uint64_t seed =
+                base_seed + 0x1000 * static_cast<std::uint64_t>(next + i + 1);
+            const SystemSimResult one = simulate_replication_events(
+                blocks, model.globals, horizon, seed, opts.block,
+                &s.outage_min, &workspaces[lane]);
+            s.availability = one.availability();
+            s.downtime_min = one.downtime_minutes();
+            s.outages = static_cast<double>(one.outages);
+            s.events = one.events;
+          }
         },
         inner);
 

@@ -461,8 +461,8 @@ TEST_F(ObsTest, CacheCountersConsistentUnderConcurrency) {
   std::atomic<std::uint64_t> violations{0};
 
   // Reader: under the all-shards snapshot, an insertion can never be
-  // visible before the miss that caused it (each writer inserts only right
-  // after a miss on the same key).
+  // visible before the miss that caused it (a fill inserts only after its
+  // own miss on the same key).
   std::thread reader([&] {
     while (!stop.load()) {
       const rascad::cache::CacheCounters c = cache.block_counters();
@@ -476,9 +476,8 @@ TEST_F(ObsTest, CacheCountersConsistentUnderConcurrency) {
       for (std::size_t i = 0; i < kOpsPerThread; ++i) {
         rascad::cache::Signature key;
         key.append_word(t * kOpsPerThread + i);
-        if (!cache.find_block(key)) {
-          cache.put_block(key, rascad::cache::CachedBlockSolve{});
-        }
+        cache.get_or_fill_block(
+            key, [] { return rascad::cache::CachedBlockSolve{}; });
       }
     });
   }

@@ -434,9 +434,9 @@ TEST(DegradedSweep, DeadlineBoundedSweepReturnsCompletedPrefix) {
   // Each fresh point costs real solver work: the swept Boot Disk becomes
   // a 128-unit redundant block (511 states), a GTH elimination of ~1.6 ms
   // per point on a 4-core x86 host that the deadline interrupts at its
-  // checkpoints. The baseline MTBF is the first sweep value, so point 0
-  // reuses the pre-warmed solve and lands inside the deadline on any
-  // build, sanitizer builds included.
+  // checkpoints. The pre-warmed MTBF is the first sweep value, so point 0
+  // is all cache hits and lands inside the deadline on any build,
+  // sanitizer builds included.
   rascad::spec::ModelSpec spec = rascad::core::library::entry_server();
   rascad::spec::BlockSpec& disk =
       *spec.find_block("Entry Server", "Boot Disk");
@@ -449,7 +449,7 @@ TEST(DegradedSweep, DeadlineBoundedSweepReturnsCompletedPrefix) {
   rascad::mg::SystemModel::Options model_opts;
   model_opts.cache = &cache;
   model_opts.parallel.threads = 1;
-  // Pre-warm the baseline so each point costs one fresh solve.
+  // Pre-warm the cache so each point costs one fresh solve.
   (void)rascad::mg::SystemModel::build(spec, model_opts);
 
   rascad::core::SweepOptions opts;
